@@ -64,9 +64,9 @@ Shard::HistCell::HistCell(std::vector<double> bucket_bounds)
 void Shard::HistCell::observe(double value) {
   const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
   const auto bucket = static_cast<std::size_t>(it - bounds.begin());
-  buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  count.fetch_add(1, std::memory_order_relaxed);
-  sum.fetch_add(value, std::memory_order_relaxed);
+  bump<std::uint64_t>(buckets[bucket], 1);
+  bump<std::uint64_t>(count, 1);
+  bump(sum, value);
   if (value < min.load(std::memory_order_relaxed)) {
     min.store(value, std::memory_order_relaxed);
   }

@@ -6,9 +6,10 @@
 //
 //   1. Disabled cost ≈ zero: when no MetricsRegistry is installed, every
 //      record call is one relaxed atomic load and one predictable branch.
-//   2. No locks on the hot path: each recording thread writes to its own
-//      shard (relaxed atomics on uncontended cache lines); shards are merged
-//      only when a snapshot is taken.
+//   2. No locks and no read-modify-writes on the hot path: each recording
+//      thread writes to its own shard (a relaxed load plus a relaxed store,
+//      never a locked instruction); shards are merged only when a snapshot
+//      is taken.
 //   3. Stable handles: metric names are interned once, process-wide, into
 //      small integer ids.  Handles (`Counter`, `Gauge`, `Histogram`) are
 //      immutable and freely copyable/shared across threads.
@@ -51,9 +52,15 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 namespace detail {
 
-/// One thread's private storage.  Writers use relaxed atomics (the shard is
-/// uncontended); the snapshot reader uses acquire loads on the chunk
-/// pointers, so merging while workers record is race-free.
+/// One thread's private storage.
+///
+/// Single-writer rule: only the thread that attached a shard ever writes to
+/// it, and snapshot() only loads.  A writer can therefore update a cell with
+/// a relaxed load plus a relaxed store (see `bump`) instead of `fetch_add`,
+/// which for `atomic<double>` is a `lock cmpxchg` loop.  The cells stay
+/// atomics so a concurrent snapshot reads whole values; the reader uses
+/// acquire loads on the chunk pointers, so merging while workers record is
+/// race-free.  Handing one shard to two writing threads would lose updates.
 class Shard {
  public:
   static constexpr std::size_t kChunkSize = 64;
@@ -99,6 +106,14 @@ class Shard {
   std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
 };
 
+/// Adds `delta` to a cell of the calling thread's own shard.  Not an atomic
+/// read-modify-write: correct only under the shard's single-writer rule.
+template <typename T>
+void bump(std::atomic<T>& cell, T delta) {
+  cell.store(cell.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
+}
+
 /// The owner thread's shard for the currently installed registry, or
 /// nullptr when collection is disabled.  This is the whole hot path guard.
 Shard* current_shard();
@@ -138,8 +153,8 @@ struct Snapshot {
 
 /// Collects per-thread shards.  A registry owns the storage; installing it
 /// (see `install`) routes every handle's record calls into it.  Threads
-/// lazily attach a shard on their first record; shards outlive their
-/// threads so a snapshot sees completed workers' data.
+/// lazily attach a shard on their first record and are its only writer;
+/// shards outlive their threads so a snapshot sees completed workers' data.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -161,7 +176,7 @@ class MetricsRegistry {
 
  private:
   /// Guards the shard list only; the cells inside each shard are lock-free
-  /// (relaxed atomics, see detail::Shard).
+  /// (single-writer relaxed atomics, see detail::Shard).
   mutable gridtrust::Mutex mutex_;
   std::vector<std::unique_ptr<detail::Shard>> shards_ GT_GUARDED_BY(mutex_);
 };
@@ -183,7 +198,7 @@ class Counter {
 
   void add(double delta = 1.0) const {
     if (detail::Shard* shard = detail::current_shard()) {
-      shard->cell(id_).a.fetch_add(delta, std::memory_order_relaxed);
+      detail::bump(shard->cell(id_).a, delta);
     }
   }
 
@@ -205,7 +220,7 @@ class Gauge {
           value > cell.a.load(std::memory_order_relaxed)) {
         cell.a.store(value, std::memory_order_relaxed);
       }
-      cell.n.fetch_add(1, std::memory_order_relaxed);
+      detail::bump<std::uint64_t>(cell.n, 1);
     }
   }
 

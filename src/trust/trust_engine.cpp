@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -19,6 +20,11 @@ const obs::Counter kDecayApplications("trust.decay_applications");
 const obs::Counter kTransactions("trust.transactions");
 const obs::Gauge kDirectRecords("trust.direct_records");
 
+// Orders a column's slots against a truster id (columns are sorted by it).
+constexpr auto kByTruster = [](const auto& slot, EntityId id) {
+  return slot.truster < id;
+};
+
 }  // namespace
 
 TrustEngine::TrustEngine(TrustEngineConfig config, std::size_t entities,
@@ -27,6 +33,7 @@ TrustEngine::TrustEngine(TrustEngineConfig config, std::size_t entities,
       entities_(entities),
       contexts_(contexts),
       alliances_(entities),
+      columns_(entities * contexts),
       learned_weight_(config.learn_recommender_weights ? entities * entities
                                                        : 0,
                       1.0) {
@@ -75,11 +82,6 @@ const DecayFunction& TrustEngine::decay_for(ContextId context) const {
   return it != config_.context_decay.end() ? *it->second : *config_.decay;
 }
 
-double TrustEngine::decayed(double level, double age, ContextId context) const {
-  kDecayApplications.add();
-  return level * decay_for(context).value(age);
-}
-
 void TrustEngine::record_transaction(const Transaction& tx) {
   check_entity(tx.truster);
   check_entity(tx.trustee);
@@ -91,8 +93,13 @@ void TrustEngine::record_transaction(const Transaction& tx) {
 
   if (config_.learn_recommender_weights) learn_recommenders(tx);
 
-  DirectTrustRecord& rec =
-      direct_[TripleKey{tx.truster, tx.trustee, tx.context}];
+  Column& col = column(tx.trustee, tx.context);
+  auto it = std::lower_bound(col.begin(), col.end(), tx.truster, kByTruster);
+  if (it == col.end() || it->truster != tx.truster) {
+    it = col.insert(it, Slot{tx.truster, {}});
+    ++record_count_;
+  }
+  DirectTrustRecord& rec = it->record;
   GT_REQUIRE(rec.count == 0 || tx.time >= rec.last_time,
              "transactions must arrive in non-decreasing time order");
   if (rec.count == 0) {
@@ -100,7 +107,9 @@ void TrustEngine::record_transaction(const Transaction& tx) {
   } else {
     // The stored level first decays to the current time, then blends with
     // the fresh observation (EWMA).
-    const double aged = decayed(rec.level, tx.time - rec.last_time, tx.context);
+    const double aged =
+        rec.level * decay_for(tx.context).value(tx.time - rec.last_time);
+    kDecayApplications.add();
     rec.level = (1.0 - config_.learning_rate) * aged +
                 config_.learning_rate * tx.observed_score;
   }
@@ -108,7 +117,7 @@ void TrustEngine::record_transaction(const Transaction& tx) {
   ++rec.count;
   ++tx_count_;
   kTransactions.add();
-  kDirectRecords.set(static_cast<double>(direct_.size()));
+  kDirectRecords.set(static_cast<double>(record_count_));
 }
 
 std::optional<DirectTrustRecord> TrustEngine::direct_record(
@@ -116,9 +125,10 @@ std::optional<DirectTrustRecord> TrustEngine::direct_record(
   check_entity(truster);
   check_entity(trustee);
   check_context(context);
-  const auto it = direct_.find(TripleKey{truster, trustee, context});
-  if (it == direct_.end()) return std::nullopt;
-  return it->second;
+  const Column& col = column(trustee, context);
+  const auto it = std::lower_bound(col.begin(), col.end(), truster, kByTruster);
+  if (it == col.end() || it->truster != truster) return std::nullopt;
+  return it->record;
 }
 
 std::optional<double> TrustEngine::direct_trust(EntityId truster,
@@ -128,7 +138,8 @@ std::optional<double> TrustEngine::direct_trust(EntityId truster,
   const auto rec = direct_record(truster, trustee, context);
   if (!rec) return std::nullopt;
   GT_REQUIRE(now >= rec->last_time, "query time precedes last transaction");
-  return decayed(rec->level, now - rec->last_time, context);
+  kDecayApplications.add();
+  return rec->level * decay_for(context).value(now - rec->last_time);
 }
 
 std::optional<double> TrustEngine::reputation(EntityId evaluator,
@@ -138,24 +149,25 @@ std::optional<double> TrustEngine::reputation(EntityId evaluator,
   check_entity(evaluator);
   check_entity(target);
   check_context(context);
-  // Scan every recommender z != evaluator with a record about target.  The
-  // triple keys are ordered (truster, trustee, context), so we walk the map
-  // range-free; entity counts in this model are small (domains, not users).
+  // The (target, context) column holds exactly the recommenders with a
+  // record about target, sorted by id.  Summing in that ascending order is
+  // load-bearing: floating-point addition is not associative, and every
+  // committed manifest was produced with this order.
   kReputationScans.add();
+  const DecayFunction& decay = decay_for(context);
   double sum = 0.0;
   std::size_t n = 0;
-  for (EntityId z = 0; z < entities_; ++z) {
-    if (z == evaluator || z == target) continue;
-    const auto it = direct_.find(TripleKey{z, target, context});
-    if (it == direct_.end()) continue;
-    const DirectTrustRecord& rec = it->second;
+  for (const Slot& slot : column(target, context)) {
+    if (slot.truster == evaluator) continue;
+    const DirectTrustRecord& rec = slot.record;
     GT_REQUIRE(now >= rec.last_time, "query time precedes last transaction");
-    sum += decayed(rec.level, now - rec.last_time, context) *
-           recommender_factor(evaluator, z, target);
+    sum += rec.level * decay.value(now - rec.last_time) *
+           recommender_factor(evaluator, slot.truster, target);
     ++n;
   }
   kReputationRecordsScanned.add(static_cast<double>(n));
   if (n == 0) return std::nullopt;
+  kDecayApplications.add(static_cast<double>(n));
   return sum / static_cast<double>(n);
 }
 
@@ -194,10 +206,20 @@ double TrustEngine::recommender_factor(EntityId evaluator,
 
 std::vector<TrustEngine::Entry> TrustEngine::export_records() const {
   std::vector<Entry> out;
-  out.reserve(direct_.size());
-  for (const auto& [key, record] : direct_) {
-    out.push_back(Entry{key.truster, key.trustee, key.context, record});
+  out.reserve(record_count_);
+  for (EntityId trustee = 0; trustee < entities_; ++trustee) {
+    for (ContextId context = 0; context < contexts_; ++context) {
+      for (const Slot& slot : column(trustee, context)) {
+        out.push_back(Entry{slot.truster, trustee, context, slot.record});
+      }
+    }
   }
+  // The columns are trustee-major; callers get (truster, trustee, context)
+  // key order.
+  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
+    return std::tie(a.truster, a.trustee, a.context) <
+           std::tie(b.truster, b.trustee, b.context);
+  });
   return out;
 }
 
@@ -212,44 +234,48 @@ void TrustEngine::import_record(const Entry& entry) {
              "imported trust level out of range");
   GT_REQUIRE(entry.record.last_time >= 0.0,
              "imported record has a negative timestamp");
-  const TripleKey key{entry.truster, entry.trustee, entry.context};
-  GT_REQUIRE(!direct_.count(key),
+  Column& col = column(entry.trustee, entry.context);
+  const auto it =
+      std::lower_bound(col.begin(), col.end(), entry.truster, kByTruster);
+  GT_REQUIRE(it == col.end() || it->truster != entry.truster,
              "triple already holds data; refusing to overwrite");
-  direct_[key] = entry.record;
+  col.insert(it, Slot{entry.truster, entry.record});
+  ++record_count_;
   tx_count_ += entry.record.count;
 }
 
 std::size_t TrustEngine::prune(double before) {
   std::size_t removed = 0;
-  for (auto it = direct_.begin(); it != direct_.end();) {
-    if (it->second.last_time < before) {
-      it = direct_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
+  for (Column& col : columns_) {
+    removed += std::erase_if(col, [before](const Slot& slot) {
+      return slot.record.last_time < before;
+    });
+    if (col.empty()) col = Column();
   }
+  record_count_ -= removed;
   return removed;
 }
 
 std::size_t TrustEngine::forget(EntityId entity) {
   check_entity(entity);
   std::size_t removed = 0;
-  for (auto it = direct_.begin(); it != direct_.end();) {
-    if (it->first.truster == entity || it->first.trustee == entity) {
-      it = direct_.erase(it);
-      ++removed;
-    } else {
-      ++it;
+  for (EntityId trustee = 0; trustee < entities_; ++trustee) {
+    for (ContextId context = 0; context < contexts_; ++context) {
+      Column& col = column(trustee, context);
+      removed += std::erase_if(col, [&](const Slot& slot) {
+        return trustee == entity || slot.truster == entity;
+      });
+      if (col.empty()) col = Column();
     }
   }
+  record_count_ -= removed;
   if (!learned_weight_.empty()) {
     for (EntityId x = 0; x < entities_; ++x) {
       learned_weight_[x * entities_ + entity] = 1.0;
       learned_weight_[entity * entities_ + x] = 1.0;
     }
   }
-  kDirectRecords.set(static_cast<double>(direct_.size()));
+  kDirectRecords.set(static_cast<double>(record_count_));
   return removed;
 }
 
@@ -261,12 +287,11 @@ void TrustEngine::learn_recommenders(const Transaction& tx) {
   // badmouths a competitor) accumulates error and loses influence.
   constexpr double kScaleSpan = 5.0;  // |6 - 1|
   double* weights = &learned_weight_[tx.truster * entities_];
-  for (EntityId z = 0; z < entities_; ++z) {
-    if (z == tx.truster || z == tx.trustee) continue;
-    const auto it = direct_.find(TripleKey{z, tx.trustee, tx.context});
-    if (it == direct_.end()) continue;
+  for (const Slot& slot : column(tx.trustee, tx.context)) {
+    const EntityId z = slot.truster;
+    if (z == tx.truster) continue;
     const double error =
-        std::abs(it->second.level - tx.observed_score) / kScaleSpan;
+        std::abs(slot.record.level - tx.observed_score) / kScaleSpan;
     const double target_weight = 1.0 - error;
     weights[z] += config_.recommender_learning_rate * (target_weight - weights[z]);
     weights[z] = std::clamp(weights[z], 0.0, 1.0);

@@ -12,6 +12,12 @@
 // collusion: it is discounted when the recommender is allied with the target,
 // and optionally refined online by comparing recommendations with the
 // evaluator's own later observations.
+//
+// Storage: the records are indexed by (trustee, context).  Each of the
+// entities × contexts columns holds the records about one trustee in one
+// context, sorted by truster.  Θ is a binary search in one short column, and
+// Ω visits only the recommenders that hold a record, in ascending id order —
+// the summation order every committed manifest was produced with.
 #pragma once
 
 #include <cstdint>
@@ -148,17 +154,23 @@ class TrustEngine {
   std::size_t forget(EntityId entity);
 
  private:
-  struct TripleKey {
-    EntityId truster;
-    EntityId trustee;
-    ContextId context;
-    auto operator<=>(const TripleKey&) const = default;
+  /// One truster's record inside a (trustee, context) column.
+  struct Slot {
+    EntityId truster = 0;
+    DirectTrustRecord record;
   };
+  /// Every record about one (trustee, context), sorted by truster.
+  using Column = std::vector<Slot>;
 
   void check_entity(EntityId id) const;
   void check_context(ContextId id) const;
   const DecayFunction& decay_for(ContextId context) const;
-  double decayed(double level, double age, ContextId context) const;
+  Column& column(EntityId trustee, ContextId context) {
+    return columns_[trustee * contexts_ + context];
+  }
+  const Column& column(EntityId trustee, ContextId context) const {
+    return columns_[trustee * contexts_ + context];
+  }
   /// Updates evaluator-side recommender weights given a fresh first-hand
   /// observation that can be compared against outstanding recommendations.
   void learn_recommenders(const Transaction& tx);
@@ -172,7 +184,10 @@ class TrustEngine {
   std::size_t entities_;
   std::size_t contexts_;
   AllianceGraph alliances_;
-  std::map<TripleKey, DirectTrustRecord> direct_;
+  // columns_[trustee * contexts_ + context]; O(records + entities ×
+  // contexts) memory in total.
+  std::vector<Column> columns_;
+  std::size_t record_count_ = 0;
   // learned_weight_[x * entities_ + z]: x's reliability weight for
   // recommender z.  One flat row-major array (not a vector-of-vectors) so
   // an evaluator's row is a single contiguous cache-friendly stripe — and

@@ -54,7 +54,9 @@ std::vector<Transaction> fixed_stream(std::size_t entities) {
         if (a == b) continue;
         t += 1.0;
         const double score =
-            1.0 + static_cast<double>((a * 7 + b * 3 + pass) % 11) * 0.5;
+            1.0 + static_cast<double>(
+                      (a * 7 + b * 3 + static_cast<EntityId>(pass)) % 11) *
+                      0.5;
         stream.push_back({a, b, 0, t, std::min(score, 6.0)});
       }
     }
@@ -244,8 +246,8 @@ class BackendConformance : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
                          ::testing::ValuesIn(all_backends()),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == ':') c = '_';
                            }
@@ -343,7 +345,7 @@ TEST(BackendConformancePerStream,
      ReputationComponentExcludesTheEvaluator) {
   // Pooled-evidence beta cannot attribute records to recommenders, so the
   // evaluator-exclusion clause binds the per-stream backends only.
-  for (const std::string& name : {"gamma", "fuzzy", "purge:gamma"}) {
+  for (const char* name : {"gamma", "fuzzy", "purge:gamma"}) {
     const auto policy = make_reputation_policy(name, params_for(4, 1));
     // Entity 2 is the sole holder of evidence about entity 1.
     policy->record_transaction({2, 1, 0, 1.0, 5.0});
@@ -583,7 +585,8 @@ TEST(SchedPolicyPricing, BridgeOverloadMatchesTheRefreshedTable) {
       for (std::size_t rd = 0; rd < n_rd; ++rd) {
         for (std::size_t act = 0; act < n_act; ++act) {
           t += 1.0;
-          bridge.observe_client_side(cd, rd, act, t, 4.0 + (rd % 2));
+          bridge.observe_client_side(cd, rd, act, t,
+                                     4.0 + static_cast<double>(rd % 2));
           bridge.observe_resource_side(rd, cd, act, t, 5.0);
         }
       }
