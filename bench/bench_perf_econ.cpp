@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "econ/campaign.hpp"
 #include "econ/market.hpp"
 #include "econ/price_model.hpp"
+#include "sim/campaign.hpp"
 #include "sim/scenario_builder.hpp"
 
 namespace {
@@ -84,13 +84,13 @@ void BM_MarketCampaign(benchmark::State& state, const std::string& pricing) {
                                      .inconsistent()
                                      .with_economy(economy)
                                      .build();
-  econ::MarketRunConfig config;
+  sim::RoundConfig config;
   config.rounds = static_cast<std::size_t>(state.range(0));
   config.tasks_per_round = 30;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        econ::run_market_campaign(scenario, config, seed++));
+        sim::run_market_campaign(scenario, config, seed++));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *

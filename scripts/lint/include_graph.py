@@ -5,16 +5,14 @@ Usage: include_graph.py [--root DIR] [--layers FILE]
                         [--dot FILE] [--check-dot FILE]
                         [--self-test] [--list-layers]
 
-The des -> grid -> trust -> sched -> sim -> chaos/econ -> lab layering that
+The des/trust -> grid -> sched -> chaos/econ -> sim -> lab layering that
 keeps the toolkit composable (and keeps CMake link lines acyclic) used to
 be enforced by nothing but convention.  This checker (stdlib-only, same
 dependency posture as gt_lint.py) makes it a CI-gated contract:
 
   1. parse every quoted #include under src/,
-  2. collapse file -> file edges to the module graph (top-level directory,
-     with declared splits for directories that hold two layers — chaos/ and
-     econ/ keep their model halves below sim and their campaign halves
-     above it, mirroring the CMake split),
+  2. collapse file -> file edges to the module graph (one module per
+     top-level directory, mirroring the one CMake library per directory),
   3. verify every observed edge against the declared layering DAG, failing
      on unknown modules, forbidden (upward or undeclared cross) edges,
      includes of nonexistent project files, and cycles — cycle detection
@@ -25,10 +23,9 @@ dependency posture as gt_lint.py) makes it a CI-gated contract:
      when it drifts from the live tree).
 
 The declared layering lives in DEFAULT_LAYERS below (one `module: deps`
-line per module, `split:` lines for intra-directory layer splits);
---layers points at an alternative declaration, which is how the
---self-test fixtures under tests/lint/include_graph/ exercise the clean /
-cycle / forbidden-edge verdicts.
+line per module); --layers points at an alternative declaration, which is
+how the --self-test fixtures under tests/lint/include_graph/ exercise the
+clean / cycle / forbidden-edge verdicts.
 
 Exit codes: 0 clean, 1 violations/drift, 2 usage or internal error.
 """
@@ -43,10 +40,7 @@ QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
 # The declared layering contract.  A module may include only itself and the
 # modules listed after its colon; the list is kept tight (principled
-# layers, not the transitive closure of whatever compiles today).  The
-# split: lines assign chaos/campaign.* and econ/campaign.* to virtual
-# modules so each directory's above-sim half is checked as its own layer,
-# exactly like the gridtrust_chaos / gridtrust_econ CMake targets.
+# layers, not the transitive closure of whatever compiles today).
 DEFAULT_LAYERS = """
 # Foundation: no dependencies / leaf utilities.
 common:
@@ -56,43 +50,34 @@ net: common
 
 # Simulation kernel and the paper's model layers.
 des: common obs
-trust: common obs des
+trust: common obs
 grid: common obs trust
 sched: common obs grid trust
 workload: common obs grid sched trust
 
-# Below-sim halves of the adversary and economy subsystems.
+# Adversary and economy models.
 chaos: common obs des sched trust workload
 econ: common obs grid sched trust
 
-# The scenario/experiment layer composes every model layer.
+# The scenario/experiment layer composes every model layer and runs the
+# closed-loop campaigns.
 sim: common obs des net trust grid sched workload chaos econ
 
-# Above-sim campaign drivers.
-chaos_campaign: common obs des sched trust workload chaos sim
-econ_campaign: common obs des grid sched trust workload chaos \
-econ sim
-
 # The sweep engine and CLI sit on top of everything.
-lab: common obs sched sim chaos chaos_campaign econ \
-econ_campaign
-
-split: chaos/campaign = chaos_campaign
-split: econ/campaign = econ_campaign
+lab: common obs sched sim chaos econ
 """
 
 
 class LayerSpec:
-    """Parsed layering declaration: allowed deps plus file->module splits."""
+    """Parsed layering declaration: allowed deps per module."""
 
-    def __init__(self, allowed, splits, order):
+    def __init__(self, allowed, order):
         self.allowed = allowed  # module -> set of allowed dep modules
-        self.splits = splits    # (dir, stem) -> virtual module
         self.order = order      # declaration order, for ranks and DOT
 
 
 def parse_layers(text):
-    allowed, splits, order = {}, {}, []
+    allowed, order = {}, []
     logical = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].rstrip()
@@ -103,13 +88,6 @@ def parse_layers(text):
         else:
             logical.append(line.strip())
     for line in logical:
-        if line.startswith("split:"):
-            match = re.match(r"split:\s*([\w/]+)\s*=\s*(\w+)$", line)
-            if match is None:
-                raise ValueError(f"bad split line: {line!r}")
-            directory, _, stem = match.group(1).rpartition("/")
-            splits[(directory, stem)] = match.group(2)
-            continue
         name, sep, deps = line.partition(":")
         if not sep:
             raise ValueError(f"bad layer line (missing ':'): {line!r}")
@@ -123,18 +101,15 @@ def parse_layers(text):
         if unknown:
             raise ValueError(
                 f"module {name} allows undeclared deps: {sorted(unknown)}")
-    return LayerSpec(allowed, splits, order)
+    return LayerSpec(allowed, order)
 
 
-def module_of(rel_path, spec):
-    """Maps a src-relative path ('module/file.hpp') to its module name,
-    honoring the declared splits."""
-    parts = rel_path.split("/")
-    directory, stem = parts[0], Path(parts[-1]).stem
-    return spec.splits.get((directory, stem), directory)
+def module_of(rel_path):
+    """Maps a src-relative path ('module/file.hpp') to its module name."""
+    return rel_path.split("/", 1)[0]
 
 
-def collect_edges(root, spec):
+def collect_edges(root):
     """Returns (edges, errors): module -> {dep module -> sorted example
     includes} for every quoted include under `root`, plus hard errors for
     includes whose target file does not exist."""
@@ -143,7 +118,7 @@ def collect_edges(root, spec):
     for glob in SOURCE_GLOBS:
         for path in sorted(root.rglob(glob)):
             rel = path.relative_to(root).as_posix()
-            module = module_of(rel, spec)
+            module = module_of(rel)
             for target in QUOTED_INCLUDE.findall(
                     path.read_text(encoding="utf-8", errors="replace")):
                 if not (root / target).exists():
@@ -151,7 +126,7 @@ def collect_edges(root, spec):
                         f"{rel}: quoted include of nonexistent project "
                         f"file \"{target}\"")
                     continue
-                dep = module_of(target, spec)
+                dep = module_of(target)
                 if dep == module:
                     continue
                 examples = edges.setdefault(module, {}).setdefault(dep, [])
@@ -243,7 +218,7 @@ def render_dot(edges, spec):
 
 def check_tree(root, spec, out=sys.stdout):
     """Runs every check; returns (violations, edges)."""
-    edges, errors = collect_edges(root, spec)
+    edges, errors = collect_edges(root)
     violations = list(errors)
     for module in sorted(edges):
         if module not in spec.allowed:

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "chaos/campaign.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "econ/campaign.hpp"
 #include "sched/problem.hpp"
+#include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
 #include "sim/trm_simulation.hpp"
@@ -133,13 +132,13 @@ SweepSpec chaos_robustness_spec() {
         adversaries.push_back(adversary);
       }
     }
-    chaos::CampaignRunConfig config;
+    sim::RoundConfig config;
     config.rounds = 12;
     config.tasks_per_round = 40;
     config.trust_aware = cell.number("trust_aware") != 0.0;
-    const chaos::CampaignResult result =
-        chaos::run_campaign(builder.with_adversaries(adversaries).build(),
-                            config, rep_seed);
+    const sim::CampaignResult result =
+        sim::run_campaign(builder.with_adversaries(adversaries).build(),
+                          config, rep_seed);
     obs::RunReport report;
     report.set("steady_true_trust_cost", result.steady_true_trust_cost);
     report.set("steady_makespan", result.steady_makespan);
@@ -275,10 +274,10 @@ obs::RunReport tournament_campaign(const std::string& backend,
       .inconsistent()
       .with_reputation_backend(backend)
       .with_adversaries(tournament_adversaries(attack));
-  chaos::CampaignRunConfig config;
+  sim::RoundConfig config;
   config.rounds = rounds;
   config.tasks_per_round = tasks_per_round;
-  return chaos::run_campaign(builder.build(), config, rep_seed).report();
+  return sim::run_campaign(builder.build(), config, rep_seed).report();
 }
 
 SweepSpec backend_tournament_spec() {
@@ -352,11 +351,11 @@ obs::RunReport market_campaign(const std::string& pricing,
   if (cartel) {
     builder.with_adversaries(tournament_adversaries("ballot_stuffing"));
   }
-  econ::MarketRunConfig config;
+  sim::RoundConfig config;
   config.rounds = rounds;
   config.tasks_per_round = tasks_per_round;
   config.trust_aware = trust_aware;
-  return econ::run_market_campaign(builder.build(), config, rep_seed)
+  return sim::run_market_campaign(builder.build(), config, rep_seed)
       .report();
 }
 

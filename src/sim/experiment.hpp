@@ -47,7 +47,7 @@ struct Scenario {
   /// every path untouched — results are bit-identical to a scenario without
   /// the field.  The static experiment path applies the machine faults to
   /// each drawn instance's EEC matrix; adversary behaviour only matters to
-  /// the closed-loop campaign driver (chaos::run_campaign).
+  /// the closed-loop campaigns (sim/campaign.hpp).
   chaos::CampaignConfig chaos;
   /// Reputation backend forming trust in closed-loop campaigns (default:
   /// "gamma", the paper's Γ engine — scenarios that never name a backend
@@ -56,8 +56,8 @@ struct Scenario {
   trust::ReputationBackendConfig reputation;
   /// Grid economy: prices, budgets, deadlines, market mechanism
   /// (gridtrust::econ).  Disabled (the default) is inert — no clean path
-  /// reads the field, so pre-economy results are bit-identical.  Only the
-  /// market campaign driver (econ::run_market_campaign) consumes it.
+  /// reads the field, so pre-economy results are bit-identical.  Only
+  /// market campaigns (sim::run_market_campaign) consume it.
   econ::EconomyConfig economy;
 
   Scenario() { requests.arrival_rate = 1.0; }

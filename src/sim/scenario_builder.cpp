@@ -172,7 +172,7 @@ Scenario ScenarioBuilder::build() const {
   }
   // Parameter-range validation for the chaos config; domain indices are
   // checked against the drawn grid by the consumers (BehaviorEngine,
-  // FaultInjector, run_campaign).
+  // FaultInjector, the campaign round loop).
   s.chaos.validate();
   s.economy.validate();
   GT_REQUIRE(trust::reputation_backend_exists(s.reputation.name),

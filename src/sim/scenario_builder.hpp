@@ -94,7 +94,7 @@ class ScenarioBuilder {
 
   /// Installs a Grid economy (prices, budgets, deadlines, market mechanism;
   /// see econ/config.hpp) and enables it.  The config is range-validated at
-  /// build() time.  Only market campaigns (econ::run_market_campaign) read
+  /// build() time.  Only market campaigns (sim::run_market_campaign) read
   /// the field — clean experiments ignore it entirely.
   ScenarioBuilder& with_economy(econ::EconomyConfig config);
 

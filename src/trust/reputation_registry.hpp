@@ -1,7 +1,7 @@
 // The string-keyed reputation-backend registry.
 //
 // Backends register a factory under a name; everything above the trust
-// layer (sim::ScenarioBuilder, chaos::run_campaign, lab sweeps) selects a
+// layer (sim::ScenarioBuilder, sim::run_campaign, lab sweeps) selects a
 // policy by that string.  Built-ins:
 //
 //   "gamma"        the paper's Γ = αΘ + βΩ engine (the default)

@@ -6,11 +6,11 @@
 #include <cmath>
 
 #include "chaos/behavior.hpp"
-#include "chaos/campaign.hpp"
 #include "chaos/config.hpp"
 #include "chaos/faults.hpp"
 #include "common/error.hpp"
 #include "des/simulator.hpp"
+#include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
 #include "trust/trust_engine.hpp"
@@ -293,8 +293,8 @@ sim::Scenario campaign_scenario(std::vector<chaos::AdversarySpec> adversaries,
       .build();
 }
 
-chaos::CampaignRunConfig fast_campaign() {
-  chaos::CampaignRunConfig config;
+sim::RoundConfig fast_campaign() {
+  sim::RoundConfig config;
   config.rounds = 10;
   config.tasks_per_round = 24;
   return config;
@@ -304,8 +304,8 @@ TEST(ChaosCampaign, DetectsConsistentlyMaliciousDomains) {
   chaos::AdversarySpec spec;
   spec.kind = chaos::BehaviorKind::kMalicious;
   spec.domain = 0;
-  const chaos::CampaignResult result =
-      chaos::run_campaign(campaign_scenario({spec}), fast_campaign(), 11);
+  const sim::CampaignResult result =
+      sim::run_campaign(campaign_scenario({spec}), fast_campaign(), 11);
   EXPECT_GE(result.detection_latency_rounds, 1);
   EXPECT_DOUBLE_EQ(result.steady_misclassification, 0.0);
   EXPECT_GT(result.counters.outcomes_flipped, 0u);
@@ -322,8 +322,8 @@ TEST(ChaosCampaign, DetectsConsistentlyMaliciousDomains) {
 }
 
 TEST(ChaosCampaign, CleanCampaignDetectsImmediately) {
-  const chaos::CampaignResult result =
-      chaos::run_campaign(campaign_scenario({}), fast_campaign(), 11);
+  const sim::CampaignResult result =
+      sim::run_campaign(campaign_scenario({}), fast_campaign(), 11);
   EXPECT_EQ(result.detection_latency_rounds, 0);
   EXPECT_FALSE(result.counters.any());
 }
@@ -333,18 +333,18 @@ TEST(ChaosCampaign, WhitewashingResetsIdentityAndDelaysDetection) {
   washer.kind = chaos::BehaviorKind::kWhitewashing;
   washer.domain = 0;
   washer.whitewash_threshold = 2.5;
-  chaos::CampaignRunConfig config = fast_campaign();
+  sim::RoundConfig config = fast_campaign();
   config.rounds = 14;
-  const chaos::CampaignResult result =
-      chaos::run_campaign(campaign_scenario({washer}), config, 11);
+  const sim::CampaignResult result =
+      sim::run_campaign(campaign_scenario({washer}), config, 11);
   EXPECT_GT(result.counters.whitewash_resets, 0u);
   // Every reset un-detects the domain, so detection cannot settle while the
   // washer keeps cycling: latency is either never (-1) or later than the
   // last observed reset allows a malicious spec to manage.
   chaos::AdversarySpec fixed = washer;
   fixed.kind = chaos::BehaviorKind::kMalicious;
-  const chaos::CampaignResult baseline =
-      chaos::run_campaign(campaign_scenario({fixed}), config, 11);
+  const sim::CampaignResult baseline =
+      sim::run_campaign(campaign_scenario({fixed}), config, 11);
   ASSERT_GE(baseline.detection_latency_rounds, 0);
   if (result.detection_latency_rounds >= 0) {
     EXPECT_GT(result.detection_latency_rounds,
@@ -362,10 +362,10 @@ TEST(ChaosCampaign, ReportDropsStarveTheTableOfEvidence) {
   drop.at = 0.0;
   drop.duration = 1e9;
   drop.magnitude = 1.0;
-  const chaos::CampaignResult dropped = chaos::run_campaign(
+  const sim::CampaignResult dropped = sim::run_campaign(
       campaign_scenario({spec}, {drop}), fast_campaign(), 11);
-  const chaos::CampaignResult intact =
-      chaos::run_campaign(campaign_scenario({spec}), fast_campaign(), 11);
+  const sim::CampaignResult intact =
+      sim::run_campaign(campaign_scenario({spec}), fast_campaign(), 11);
   EXPECT_GT(dropped.counters.recommendations_dropped, 0u);
   EXPECT_EQ(dropped.counters.faults_injected, 1u);
   // With every client-side report lost, the table learns strictly less.
@@ -379,7 +379,7 @@ TEST(ChaosCampaign, DelayedReportsArriveLate) {
   delay.at = 0.0;
   delay.duration = 1e9;
   delay.magnitude = 2.0;
-  const chaos::CampaignResult result = chaos::run_campaign(
+  const sim::CampaignResult result = sim::run_campaign(
       campaign_scenario({}, {delay}), fast_campaign(), 11);
   EXPECT_GT(result.counters.recommendations_delayed, 0u);
   EXPECT_GT(result.transactions, 0u);
@@ -391,7 +391,7 @@ TEST(ChaosCampaign, CrashWindowsShowUpAsMachinesDown) {
   crash.target = 0;
   crash.at = 60.0;   // covers round 1 (round period 60)
   crash.duration = 60.0;
-  const chaos::CampaignResult result = chaos::run_campaign(
+  const sim::CampaignResult result = sim::run_campaign(
       campaign_scenario({}, {crash}), fast_campaign(), 11);
   ASSERT_GE(result.rounds.size(), 3u);
   EXPECT_EQ(result.rounds[0].machines_down, 0u);
@@ -407,13 +407,13 @@ TEST(ChaosCampaign, SeedDeterminismRegression) {
   spec.kind = chaos::BehaviorKind::kOscillating;
   spec.domain = 0;
   const sim::Scenario scenario = campaign_scenario({spec});
-  const chaos::CampaignRunConfig config = fast_campaign();
+  const sim::RoundConfig config = fast_campaign();
   const std::string a =
-      chaos::run_campaign(scenario, config, 99).report().to_json();
+      sim::run_campaign(scenario, config, 99).report().to_json();
   const std::string b =
-      chaos::run_campaign(scenario, config, 99).report().to_json();
+      sim::run_campaign(scenario, config, 99).report().to_json();
   const std::string c =
-      chaos::run_campaign(scenario, config, 100).report().to_json();
+      sim::run_campaign(scenario, config, 100).report().to_json();
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
 }

@@ -5,19 +5,22 @@
 // term draws, and the closed-loop market campaign's determinism.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "chaos/behavior.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "econ/campaign.hpp"
 #include "econ/config.hpp"
 #include "econ/market.hpp"
 #include "econ/price_model.hpp"
 #include "grid/request.hpp"
 #include "lab/catalog.hpp"
+#include "obs/metrics.hpp"
 #include "sched/problem.hpp"
 #include "sched/security_model.hpp"
+#include "sim/campaign.hpp"
 #include "sim/scenario_builder.hpp"
 
 namespace gridtrust::econ {
@@ -373,17 +376,20 @@ TEST(MarketCampaign, RequiresAnEnabledEconomy) {
   const sim::Scenario scenario =
       sim::ScenarioBuilder().tasks(4).heuristic("mct").build();
   ASSERT_FALSE(scenario.economy.enabled);
-  EXPECT_THROW((void)run_market_campaign(scenario, MarketRunConfig{}, 1),
-               PreconditionError);
+  EXPECT_THROW(
+      (void)sim::run_market_campaign(scenario, sim::RoundConfig{}, 1),
+      PreconditionError);
 }
 
 TEST(MarketCampaign, IsDeterministicAndAccountsForEveryRequest) {
   const sim::Scenario scenario = market_scenario("trust", "auction");
-  MarketRunConfig config;
+  sim::RoundConfig config;
   config.rounds = 4;
   config.tasks_per_round = 8;
-  const MarketCampaignResult first = run_market_campaign(scenario, config, 5);
-  const MarketCampaignResult again = run_market_campaign(scenario, config, 5);
+  const sim::MarketCampaignResult first =
+      sim::run_market_campaign(scenario, config, 5);
+  const sim::MarketCampaignResult again =
+      sim::run_market_campaign(scenario, config, 5);
   EXPECT_EQ(first.report().to_json(), again.report().to_json());
 
   ASSERT_EQ(first.rounds.size(), 4u);
@@ -403,17 +409,65 @@ TEST(MarketCampaign, IsDeterministicAndAccountsForEveryRequest) {
 
 TEST(MarketCampaign, ReportCarriesEconKeys) {
   const sim::Scenario scenario = market_scenario("commodity", "posted-cost");
-  MarketRunConfig config;
+  sim::RoundConfig config;
   config.rounds = 3;
   config.tasks_per_round = 6;
   const obs::RunReport report =
-      run_market_campaign(scenario, config, 11).report();
+      sim::run_market_campaign(scenario, config, 11).report();
   for (const char* key :
        {"econ.served", "econ.rejected_budget", "econ.rejected_deadline",
         "econ.budget_overruns", "econ.deadline_misses", "served_fraction",
         "steady_price_index", "steady_welfare", "transactions"}) {
     EXPECT_TRUE(report.has(key)) << key;
   }
+}
+
+TEST(MarketCampaign, RejectsHonestMeansOffTheTrustScale) {
+  const sim::Scenario scenario = market_scenario("flat", "posted-cost");
+  sim::RoundConfig config;
+  config.rounds = 2;
+  config.tasks_per_round = 4;
+  config.honest_rd_mean = 7.0;
+  EXPECT_THROW((void)sim::run_market_campaign(scenario, config, 1),
+               PreconditionError);
+}
+
+/// The chaos.* counters one market campaign records into a fresh registry,
+/// optionally against a ballot-stuffing cartel (collusive RD 0 plus its
+/// allied collusive CD 0).
+std::map<std::string, double> market_chaos_counters(bool cartel) {
+  sim::Scenario scenario = market_scenario("trust", "posted-cost");
+  if (cartel) {
+    chaos::AdversarySpec rd;
+    rd.side = chaos::AdversarySide::kResourceDomain;
+    rd.domain = 0;
+    rd.kind = chaos::BehaviorKind::kCollusive;
+    chaos::AdversarySpec cd = rd;
+    cd.side = chaos::AdversarySide::kClientDomain;
+    scenario.chaos.adversaries = {rd, cd};
+  }
+  sim::RoundConfig config;
+  config.rounds = 4;
+  config.tasks_per_round = 8;
+  obs::MetricsRegistry registry;
+  obs::install(&registry);
+  (void)sim::run_market_campaign(scenario, config, 5);
+  const obs::Snapshot snap = registry.snapshot();
+  obs::install(nullptr);
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.starts_with("chaos.")) out[name] = value;
+  }
+  return out;
+}
+
+TEST(MarketCampaign, CountsForgedReportsAndFlippedOutcomes) {
+  const std::map<std::string, double> cartel = market_chaos_counters(true);
+  ASSERT_TRUE(cartel.count("chaos.recommendations_forged"));
+  ASSERT_TRUE(cartel.count("chaos.outcomes_flipped"));
+  EXPECT_GT(cartel.at("chaos.recommendations_forged"), 0.0);
+  EXPECT_GT(cartel.at("chaos.outcomes_flipped"), 0.0);
+  EXPECT_TRUE(market_chaos_counters(false).empty());
 }
 
 TEST(MarketCampaign, CatalogRegistersTheMarketSpecs) {

