@@ -1,11 +1,14 @@
 #include "chaos/config.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace gridtrust::chaos {
 
 void CampaignConfig::validate() const {
-  GT_REQUIRE(crash_penalty > 0.0, "crash penalty must be positive");
+  GT_REQUIRE(std::isfinite(crash_penalty) && crash_penalty > 0.0,
+             "crash penalty must be finite and positive");
   for (const AdversarySpec& spec : adversaries) validate_spec(spec);
   for (const FaultSpec& spec : faults) validate_spec(spec);
 }

@@ -23,7 +23,8 @@ struct CampaignConfig {
   std::vector<AdversarySpec> adversaries;
   std::vector<FaultSpec> faults;
   /// Seconds added to a crashed machine's execution cost: the machine stays
-  /// feasible but maximally unattractive to cost-driven heuristics.
+  /// feasible but maximally unattractive to cost-driven heuristics.  Finite
+  /// and positive (the penalised EEC must stay finite).
   double crash_penalty = 1e6;
 
   /// True when the config perturbs nothing.

@@ -119,7 +119,8 @@ FaultApplication apply_machine_faults(const FaultTimeline& timeline,
                                       double crash_penalty) {
   GT_REQUIRE(arrivals.size() == eec.rows(),
              "need one arrival time per EEC row");
-  GT_REQUIRE(crash_penalty > 0.0, "crash penalty must be positive");
+  GT_REQUIRE(std::isfinite(crash_penalty) && crash_penalty > 0.0,
+             "crash penalty must be finite and positive");
   for (const FaultSpec& spec : timeline.specs()) {
     GT_REQUIRE(!machine_fault(spec.kind) || spec.target == kAllTargets ||
                    spec.target < eec.cols(),

@@ -16,6 +16,10 @@
 // even = free, odd = live; a handle stores the (odd) generation it was
 // minted with, so both staleness and double-release reduce to one compare.
 //
+// Slabs are allocated uninitialised; a slot's header is written when the
+// slot is first handed out.  Only slots below count_ are ever read, so a
+// short run pays for the slots it uses, not for the whole slab.
+//
 // Ownership rules (see docs/performance.md, "Allocator ownership"):
 //   - the pool owns all storage; handles and raw pointers never outlive it;
 //   - release() recycles a slot immediately — the caller must drop every
@@ -27,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -80,9 +85,12 @@ class ObjectPool {
       GT_REQUIRE(count_ < 0xffffffffu, "object pool exhausted 2^32 slots");
       slot = static_cast<std::uint32_t>(count_);
       if ((slot >> slab_shift_) >= slabs_.size()) {
-        slabs_.push_back(std::make_unique<Slot[]>(slab_objects_));
+        slabs_.push_back(std::make_unique_for_overwrite<Slot[]>(slab_objects_));
       }
       ++count_;
+      Slot& fresh = at(slot);
+      fresh.generation = 0;
+      fresh.next_free = 0;
     }
     Slot& s = at(slot);
     ::new (static_cast<void*>(s.storage)) T(std::forward<Args>(args)...);
@@ -160,10 +168,12 @@ class ObjectPool {
   /// One slot: generation/free-link header followed by (correctly aligned)
   /// storage for the object, so header and object share cache lines.
   struct Slot {
-    std::uint32_t generation = 0;  // even = free, odd = live
-    std::uint32_t next_free = 0;   // 1-based; 0 = end of list
+    std::uint32_t generation;  // even = free, odd = live
+    std::uint32_t next_free;   // 1-based; 0 = end of list
     alignas(T) unsigned char storage[sizeof(T)];
   };
+  // What leaves a fresh slab unwritten (no default member initialisers).
+  static_assert(std::is_trivially_default_constructible_v<Slot>);
 
   static PoolHandle make_handle(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<std::uint64_t>(generation) << 32) |

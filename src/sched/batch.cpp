@@ -11,16 +11,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-void check_batch(const SchedulingProblem& p,
-                 const std::vector<std::size_t>& batch,
-                 const Schedule& schedule) {
-  for (const std::size_t r : batch) {
-    GT_REQUIRE(r < p.num_requests(), "request index out of range");
-    GT_REQUIRE(schedule.machine_of[r] == kUnassigned,
-               "batch contains an already-assigned request");
-  }
-}
-
 /// Best machine and completion metric for one request.
 struct BestChoice {
   std::size_t machine = 0;
@@ -28,11 +18,17 @@ struct BestChoice {
   double second_completion = kInf;  // for Sufferage
 };
 
+/// One pass over request r's decision-cost row: completion on machine m is
+/// max(α_m, floor) + decision_cost(r, m) with floor = max(ready, arrival),
+/// the value decision_completion gives.  Lowest machine index wins ties.
 BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double ready,
                        const Schedule& schedule) {
+  const double floor = std::max(ready, p.arrival_time(r));
+  const double* cost = p.decision_row(r);
+  const double* available = schedule.machine_available.data();
   BestChoice out;
   for (std::size_t m = 0; m < p.num_machines(); ++m) {
-    const double ct = decision_completion(p, r, m, ready, schedule);
+    const double ct = std::max(available[m], floor) + cost[m];
     if (ct < out.completion) {
       out.second_completion = out.completion;
       out.completion = ct;
@@ -45,7 +41,12 @@ BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double ready,
 }
 
 /// Shared engine for Min-min and Max-min: repeatedly pick the pending
-/// request whose *best* completion is extremal, commit it, re-evaluate.
+/// request whose *best* completion is extremal and commit it.
+///
+/// Each pending request keeps its BestChoice.  A commit to machine j only
+/// raises α_j, so a request whose best machine is k ≠ j keeps both its best
+/// completion and its lowest-index tie-break; only requests whose best
+/// machine is j are rescanned.  The picks equal a full rescan's exactly.
 class MinMaxMin final : public BatchHeuristic {
  public:
   explicit MinMaxMin(bool prefer_max) : prefer_max_(prefer_max) {}
@@ -57,21 +58,28 @@ class MinMaxMin final : public BatchHeuristic {
                  Schedule& schedule) override {
     check_batch(p, batch, schedule);
     std::vector<std::size_t> pending = batch;
+    // best[i] belongs to pending[i]; second_completion is not maintained.
+    std::vector<BestChoice> best(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      best[i] = best_choice(p, pending[i], ready, schedule);
+    }
     while (!pending.empty()) {
-      std::size_t pick_pos = 0;
-      BestChoice pick = best_choice(p, pending[0], ready, schedule);
+      std::size_t pick = 0;
       for (std::size_t i = 1; i < pending.size(); ++i) {
-        const BestChoice c = best_choice(p, pending[i], ready, schedule);
         const bool better =
-            prefer_max_ ? c.completion > pick.completion
-                        : c.completion < pick.completion;
-        if (better) {
-          pick = c;
-          pick_pos = i;
+            prefer_max_ ? best[i].completion > best[pick].completion
+                        : best[i].completion < best[pick].completion;
+        if (better) pick = i;
+      }
+      const std::size_t machine = best[pick].machine;
+      commit_assignment(p, pending[pick], machine, ready, schedule);
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+      best.erase(best.begin() + static_cast<std::ptrdiff_t>(pick));
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        if (best[i].machine == machine) {
+          best[i] = best_choice(p, pending[i], ready, schedule);
         }
       }
-      commit_assignment(p, pending[pick_pos], pick.machine, ready, schedule);
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick_pos));
     }
   }
 
@@ -83,6 +91,10 @@ class MinMaxMin final : public BatchHeuristic {
 /// by the pending request that would suffer most (largest gap between its
 /// second-best and best completion) if denied that machine; reservation
 /// winners commit, losers wait for the next iteration.
+///
+/// Unlike Min-min there is no BestChoice cache: a deferred request's best
+/// machine had a holder in that iteration, which committed and moved its
+/// α, so every pending request needs a fresh scan anyway.
 class Sufferage final : public BatchHeuristic {
  public:
   std::string name() const override { return "sufferage"; }
@@ -92,11 +104,14 @@ class Sufferage final : public BatchHeuristic {
                  Schedule& schedule) override {
     check_batch(p, batch, schedule);
     std::vector<std::size_t> pending = batch;
+    // machine -> (request holding it, its sufferage value)
+    std::vector<std::size_t> holder;
+    std::vector<double> holder_sufferage;
+    std::vector<std::size_t> deferred;
     while (!pending.empty()) {
-      // machine -> (request holding it, its sufferage value)
-      std::vector<std::size_t> holder(p.num_machines(), kUnassigned);
-      std::vector<double> holder_sufferage(p.num_machines(), -kInf);
-      std::vector<std::size_t> deferred;
+      holder.assign(p.num_machines(), kUnassigned);
+      holder_sufferage.assign(p.num_machines(), -kInf);
+      deferred.clear();
       for (const std::size_t r : pending) {
         const BestChoice c = best_choice(p, r, ready, schedule);
         const double sufferage =
@@ -120,7 +135,7 @@ class Sufferage final : public BatchHeuristic {
         }
       }
       GT_ASSERT(deferred.size() < pending.size());  // progress each round
-      pending = std::move(deferred);
+      pending.swap(deferred);
     }
   }
 };
@@ -144,6 +159,22 @@ class Duplex final : public BatchHeuristic {
 };
 
 }  // namespace
+
+void check_batch(const SchedulingProblem& p,
+                 const std::vector<std::size_t>& batch,
+                 const Schedule& schedule) {
+  GT_REQUIRE(schedule.machine_of.size() == p.num_requests() &&
+                 schedule.machine_available.size() == p.num_machines(),
+             "schedule was not sized for this problem");
+  std::vector<bool> seen(p.num_requests(), false);
+  for (const std::size_t r : batch) {
+    GT_REQUIRE(r < p.num_requests(), "request index out of range");
+    GT_REQUIRE(schedule.machine_of[r] == kUnassigned,
+               "batch contains an already-assigned request");
+    GT_REQUIRE(!seen[r], "batch contains a request twice");
+    seen[r] = true;
+  }
+}
 
 std::unique_ptr<BatchHeuristic> make_min_min() {
   return std::make_unique<MinMaxMin>(false);

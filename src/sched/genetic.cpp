@@ -38,11 +38,7 @@ class Genetic final : public BatchHeuristic {
                  const std::vector<std::size_t>& batch, double ready,
                  Schedule& schedule) override {
     GT_REQUIRE(!batch.empty(), "cannot map an empty batch");
-    for (const std::size_t r : batch) {
-      GT_REQUIRE(r < p.num_requests(), "request index out of range");
-      GT_REQUIRE(schedule.machine_of[r] == kUnassigned,
-                 "batch contains an already-assigned request");
-    }
+    check_batch(p, batch, schedule);
 
     const std::size_t n = batch.size();
     const std::size_t m = p.num_machines();

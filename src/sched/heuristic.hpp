@@ -57,6 +57,13 @@ double decision_completion(const SchedulingProblem& p, std::size_t r,
                            std::size_t m, double ready,
                            const Schedule& schedule);
 
+/// Batch preconditions shared by every BatchHeuristic, checked before any
+/// commit: `schedule` is sized for `p`, and each index in `batch` is in
+/// range, unassigned and listed once.  Throws PreconditionError.
+void check_batch(const SchedulingProblem& p,
+                 const std::vector<std::size_t>& batch,
+                 const Schedule& schedule);
+
 // --- Immediate-mode heuristics of [10] ---
 
 /// OLB: earliest-available machine, costs ignored.

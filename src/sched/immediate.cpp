@@ -17,13 +17,17 @@ double decision_completion(const SchedulingProblem& p, std::size_t r,
 
 namespace {
 
-/// Machine with the minimum completion metric (lowest index wins ties).
+/// Machine with the minimum completion metric (lowest index wins ties):
+/// one pass over r's decision-cost row with floor = max(ready, arrival).
 std::size_t argmin_completion(const SchedulingProblem& p, std::size_t r,
                               double ready, const Schedule& schedule) {
+  const double floor = std::max(ready, p.arrival_time(r));
+  const double* cost = p.decision_row(r);
+  const double* available = schedule.machine_available.data();
   std::size_t best = 0;
-  double best_ct = decision_completion(p, r, 0, ready, schedule);
+  double best_ct = std::max(available[0], floor) + cost[0];
   for (std::size_t m = 1; m < p.num_machines(); ++m) {
-    const double ct = decision_completion(p, r, m, ready, schedule);
+    const double ct = std::max(available[m], floor) + cost[m];
     if (ct < best_ct) {
       best_ct = ct;
       best = m;

@@ -31,11 +31,7 @@ class LocalSearchBase : public BatchHeuristic {
                           const std::vector<std::size_t>& batch,
                           const Schedule& schedule) {
     GT_REQUIRE(!batch.empty(), "cannot map an empty batch");
-    for (const std::size_t r : batch) {
-      GT_REQUIRE(r < p.num_requests(), "request index out of range");
-      GT_REQUIRE(schedule.machine_of[r] == kUnassigned,
-                 "batch contains an already-assigned request");
-    }
+    sched::check_batch(p, batch, schedule);
   }
 
   /// Makespan of `genes` appended to the base availability.

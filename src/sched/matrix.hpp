@@ -34,6 +34,10 @@ class Matrix {
   /// Unchecked access for hot loops (heuristic inner loops).
   T get(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
+  /// Unchecked pointer to row r's cols() entries.
+  T* row(std::size_t r) { return data_.data() + r * cols_; }
+  const T* row(std::size_t r) const { return data_.data() + r * cols_; }
+
   const std::vector<T>& data() const { return data_; }
 
  private:

@@ -1,5 +1,7 @@
 #include "sched/problem.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace gridtrust::sched {
@@ -19,16 +21,54 @@ SchedulingProblem::SchedulingProblem(CostMatrix eec, TrustCostMatrix tc,
              "arrival times must cover every request");
   for (std::size_t r = 0; r < eec_.rows(); ++r) {
     for (std::size_t m = 0; m < eec_.cols(); ++m) {
-      GT_REQUIRE(eec_.get(r, m) >= 0.0, "EEC values must be non-negative");
+      GT_REQUIRE(std::isfinite(eec_.get(r, m)) && eec_.get(r, m) >= 0.0,
+                 "EEC values must be finite and non-negative");
       GT_REQUIRE(tc_.get(r, m) >= 0 && tc_.get(r, m) <= trust::kMaxTrustCost,
                  "trust costs must be in [0, 6]");
     }
   }
+  for (const double arrival : arrivals_) {
+    GT_REQUIRE(std::isfinite(arrival) && arrival >= 0.0,
+               "arrival times must be finite and non-negative");
+  }
+  if (arrivals_.empty()) arrivals_.assign(eec_.rows(), 0.0);
+  build_costs();
 }
 
-double SchedulingProblem::arrival_time(std::size_t r) const {
-  GT_REQUIRE(r < num_requests(), "request index out of range");
-  return arrivals_.empty() ? 0.0 : arrivals_[r];
+SchedulingProblem::SchedulingProblem(const SchedulingProblem& base,
+                                     SchedulingPolicy policy)
+    : eec_(base.eec_),
+      tc_(base.tc_),
+      policy_(std::move(policy)),
+      model_(base.model_),
+      arrivals_(base.arrivals_),
+      extra_decision_(base.extra_decision_),
+      extra_actual_(base.extra_actual_) {
+  build_costs();
+}
+
+void SchedulingProblem::build_costs() {
+  if (eec_.rows() == 0) return;  // 0x0 problem: nothing to price
+  decision_ = CostMatrix(eec_.rows(), eec_.cols());
+  actual_ = CostMatrix(eec_.rows(), eec_.cols());
+  const bool extra = extra_decision_.rows() != 0;
+  for (std::size_t r = 0; r < eec_.rows(); ++r) {
+    const double* eec = eec_.row(r);
+    const int* tc = tc_.row(r);
+    double* decision = decision_.row(r);
+    double* actual = actual_.row(r);
+    for (std::size_t m = 0; m < eec_.cols(); ++m) {
+      decision[m] = model_.ecc(policy_.decision, eec[m], tc[m]);
+      actual[m] = model_.ecc(policy_.actual, eec[m], tc[m]);
+    }
+    if (!extra) continue;
+    const double* extra_decision = extra_decision_.row(r);
+    const double* extra_actual = extra_actual_.row(r);
+    for (std::size_t m = 0; m < eec_.cols(); ++m) {
+      decision[m] += extra_decision[m];
+      actual[m] += extra_actual[m];
+    }
+  }
 }
 
 void SchedulingProblem::set_extra_costs(CostMatrix decision,
@@ -39,20 +79,20 @@ void SchedulingProblem::set_extra_costs(CostMatrix decision,
              "extra actual costs must match the problem's shape");
   for (std::size_t r = 0; r < eec_.rows(); ++r) {
     for (std::size_t m = 0; m < eec_.cols(); ++m) {
-      GT_REQUIRE(decision.get(r, m) >= 0.0 && actual.get(r, m) >= 0.0,
-                 "extra costs must be non-negative");
+      const double d = decision.get(r, m);
+      const double a = actual.get(r, m);
+      GT_REQUIRE(std::isfinite(d) && std::isfinite(a) && d >= 0.0 && a >= 0.0,
+                 "extra costs must be finite and non-negative");
     }
   }
   extra_decision_ = std::move(decision);
   extra_actual_ = std::move(actual);
+  build_costs();
 }
 
 SchedulingProblem SchedulingProblem::with_policy(
     SchedulingPolicy policy) const {
-  SchedulingProblem out(eec_, tc_, std::move(policy), model_, arrivals_);
-  out.extra_decision_ = extra_decision_;
-  out.extra_actual_ = extra_actual_;
-  return out;
+  return SchedulingProblem(*this, std::move(policy));
 }
 
 TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,

@@ -1,6 +1,7 @@
 #include "sched/security_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 
@@ -8,8 +9,10 @@ namespace gridtrust::sched {
 
 SecurityCostModel::SecurityCostModel(SecurityCostConfig config)
     : config_(config) {
-  GT_REQUIRE(config.tc_weight_pct >= 0.0, "TC weight must be non-negative");
-  GT_REQUIRE(config.blanket_pct >= 0.0, "blanket rate must be non-negative");
+  GT_REQUIRE(std::isfinite(config.tc_weight_pct) && config.tc_weight_pct >= 0.0,
+             "TC weight must be finite and non-negative");
+  GT_REQUIRE(std::isfinite(config.blanket_pct) && config.blanket_pct >= 0.0,
+             "blanket rate must be finite and non-negative");
 }
 
 int SecurityCostModel::trust_cost(trust::TrustLevel required,
@@ -17,26 +20,6 @@ int SecurityCostModel::trust_cost(trust::TrustLevel required,
   if (config_.table1_forced_f) return trust::trust_cost(required, offered);
   const int gap = trust::to_numeric(required) - trust::to_numeric(offered);
   return std::clamp(gap, 0, trust::kMaxTrustCost);
-}
-
-double SecurityCostModel::esc(CostModel model, double eec, int tc) const {
-  GT_REQUIRE(eec >= 0.0, "EEC must be non-negative");
-  GT_REQUIRE(tc >= 0 && tc <= trust::kMaxTrustCost,
-             "trust cost must be in [0, 6]");
-  switch (model) {
-    case CostModel::kNone:
-      return 0.0;
-    case CostModel::kBlanket:
-      return eec * config_.blanket_pct / 100.0;
-    case CostModel::kTrustCost:
-      return eec * (static_cast<double>(tc) * config_.tc_weight_pct) / 100.0;
-  }
-  GT_ASSERT(false);
-  return 0.0;
-}
-
-double SecurityCostModel::ecc(CostModel model, double eec, int tc) const {
-  return eec + esc(model, eec, tc);
 }
 
 SchedulingPolicy trust_aware_policy() {

@@ -15,6 +15,7 @@
 
 #include <string>
 
+#include "common/error.hpp"
 #include "trust/ets.hpp"
 #include "trust/trust_level.hpp"
 
@@ -51,11 +52,28 @@ class SecurityCostModel {
   int trust_cost(trust::TrustLevel required, trust::TrustLevel offered) const;
 
   /// ESC of a task with execution cost `eec` and trust cost `tc` under
-  /// `model`.  `tc` must be in [0, 6].
-  double esc(CostModel model, double eec, int tc) const;
+  /// `model`.  `tc` must be in [0, 6].  Inline: SchedulingProblem prices
+  /// every (request, machine) pair through it.
+  double esc(CostModel model, double eec, int tc) const {
+    GT_REQUIRE(eec >= 0.0, "EEC must be non-negative");
+    GT_REQUIRE(tc >= 0 && tc <= trust::kMaxTrustCost,
+               "trust cost must be in [0, 6]");
+    switch (model) {
+      case CostModel::kNone:
+        return 0.0;
+      case CostModel::kBlanket:
+        return eec * config_.blanket_pct / 100.0;
+      case CostModel::kTrustCost:
+        return eec * (static_cast<double>(tc) * config_.tc_weight_pct) / 100.0;
+    }
+    GT_ASSERT(false);
+    return 0.0;
+  }
 
   /// ECC = EEC + ESC.
-  double ecc(CostModel model, double eec, int tc) const;
+  double ecc(CostModel model, double eec, int tc) const {
+    return eec + esc(model, eec, tc);
+  }
 
  private:
   SecurityCostConfig config_;

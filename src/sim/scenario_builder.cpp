@@ -1,6 +1,7 @@
 #include "sim/scenario_builder.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "trust/reputation_registry.hpp"
@@ -152,10 +153,12 @@ Scenario ScenarioBuilder::build() const {
              "resource_domains: need 1 <= lo <= hi");
   GT_REQUIRE(s.requests.arrival_rate >= 0.0,
              "arrival_rate: must be non-negative (0 = all at time zero)");
-  GT_REQUIRE(s.security.tc_weight_pct >= 0.0,
-             "tc_weight_pct: must be non-negative");
-  GT_REQUIRE(s.security.blanket_pct >= 0.0,
-             "blanket_pct: must be non-negative");
+  GT_REQUIRE(std::isfinite(s.security.tc_weight_pct) &&
+                 s.security.tc_weight_pct >= 0.0,
+             "tc_weight_pct: must be finite and non-negative");
+  GT_REQUIRE(std::isfinite(s.security.blanket_pct) &&
+                 s.security.blanket_pct >= 0.0,
+             "blanket_pct: must be finite and non-negative");
   if (s.rms.mode == SchedulingMode::kBatch) {
     GT_REQUIRE(s.rms.batch_interval > 0.0,
                "batch: formation interval must be positive");

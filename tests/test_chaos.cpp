@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "chaos/behavior.hpp"
 #include "chaos/config.hpp"
@@ -226,6 +227,21 @@ TEST(ChaosFaults, ApplyMachineFaultsPerturbsOnlyCoveredCells) {
   EXPECT_DOUBLE_EQ(eec.get(1, 0), 100.0);
   EXPECT_EQ(out.windows_applied, 1u);
   EXPECT_EQ(out.cells_perturbed, 1u);
+}
+
+TEST(ChaosFaults, CrashPenaltyMustBeFinite) {
+  // An infinite penalty would turn a crashed cell's EEC into +inf, which
+  // the ESC model prices as inf x 0 = NaN under a zero trust cost.
+  const double inf = std::numeric_limits<double>::infinity();
+  chaos::CampaignConfig config;
+  config.crash_penalty = inf;
+  EXPECT_THROW(config.validate(), PreconditionError);
+  config.crash_penalty = std::nan("");
+  EXPECT_THROW(config.validate(), PreconditionError);
+  const chaos::FaultTimeline timeline({});
+  sched::CostMatrix eec(1, 1, 1.0);
+  EXPECT_THROW(chaos::apply_machine_faults(timeline, {0.0}, eec, inf),
+               PreconditionError);
 }
 
 TEST(ChaosFaults, InjectorTracksLiveStateThroughDesEvents) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -89,6 +90,15 @@ TEST(SecurityModel, Validation) {
   EXPECT_THROW(model.esc(CostModel::kTrustCost, 1.0, 7), PreconditionError);
 }
 
+TEST(SecurityModel, RejectsNonFiniteWeights) {
+  SecurityCostConfig tc_inf;
+  tc_inf.tc_weight_pct = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(SecurityCostModel{tc_inf}, PreconditionError);
+  SecurityCostConfig blanket_inf;
+  blanket_inf.blanket_pct = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(SecurityCostModel{blanket_inf}, PreconditionError);
+}
+
 TEST(Policies, FactoryShapes) {
   EXPECT_EQ(trust_aware_policy().decision, CostModel::kTrustCost);
   EXPECT_EQ(trust_aware_policy().actual, CostModel::kTrustCost);
@@ -145,6 +155,35 @@ TEST(Problem, ValidatesShapesAndValues) {
   EXPECT_THROW(SchedulingProblem(eec, tc, trust_aware_policy(),
                                  SecurityCostModel{}, {1.0}),
                PreconditionError);  // arrivals don't cover requests
+}
+
+TEST(Problem, RejectsNonFiniteCostsAndArrivals) {
+  // An infinite EEC with trust cost 0 would price ESC as inf x 0 = NaN,
+  // and every heuristic comparison against NaN is false.
+  const double inf = std::numeric_limits<double>::infinity();
+  TrustCostMatrix tc(2, 2, 0);
+  CostMatrix eec_inf(2, 2, 1.0);
+  eec_inf.at(1, 0) = inf;
+  EXPECT_THROW(SchedulingProblem(eec_inf, tc, trust_aware_policy(),
+                                 SecurityCostModel{}),
+               PreconditionError);
+  const CostMatrix eec(2, 2, 1.0);
+  for (const double bad : {std::nan(""), -1.0, inf}) {
+    EXPECT_THROW(SchedulingProblem(eec, tc, trust_aware_policy(),
+                                   SecurityCostModel{}, {0.0, bad}),
+                 PreconditionError)
+        << "arrival " << bad;
+  }
+}
+
+TEST(Problem, RejectsNonFiniteExtraCosts) {
+  SchedulingProblem p = tiny_problem(trust_aware_policy());
+  const CostMatrix zero(3, 2, 0.0);
+  CostMatrix bad(3, 2, 0.0);
+  bad.at(2, 1) = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(p.set_extra_costs(bad, zero), PreconditionError);
+  EXPECT_THROW(p.set_extra_costs(zero, bad), PreconditionError);
+  EXPECT_EQ(p.decision_cost(2, 1), 1.0);  // rows untouched by the rejection
 }
 
 TEST(Problem, ArrivalDefaultsToZero) {
@@ -475,6 +514,23 @@ TEST(Batch, RejectsAlreadyAssignedRequests) {
   Schedule s = Schedule::for_problem(p);
   commit_assignment(p, 0, 0, 0.0, s);
   EXPECT_THROW(h->map_batch(p, {0, 1}, 0.0, s), PreconditionError);
+}
+
+TEST(Batch, RejectsDuplicateRequestsBeforeAnyCommit) {
+  const SchedulingProblem p = tiny_problem(trust_aware_policy());
+  for (const char* name : {"min-min", "max-min", "sufferage", "duplex"}) {
+    SCOPED_TRACE(name);
+    auto h = make_batch(name);
+    Schedule s = Schedule::for_problem(p);
+    commit_assignment(p, 2, 1, 0.0, s);
+    const Schedule before = s;
+    EXPECT_THROW(h->map_batch(p, {0, 1, 0}, 0.0, s), PreconditionError);
+    EXPECT_EQ(s.machine_of, before.machine_of);
+    EXPECT_EQ(s.start, before.start);
+    EXPECT_EQ(s.completion, before.completion);
+    EXPECT_EQ(s.machine_available, before.machine_available);
+    EXPECT_EQ(s.machine_busy, before.machine_busy);
+  }
 }
 
 TEST(Registry, FactoriesAndNames) {

@@ -1,6 +1,8 @@
 // Tests for the event-driven TRMS and the replicated experiment runner.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "sched/executor.hpp"
 #include "sim/experiment.hpp"
@@ -298,6 +300,9 @@ TEST(ScenarioBuilder, RejectsInvalidCombinations) {
                PreconditionError);
   EXPECT_THROW(ScenarioBuilder().batch(0.0).heuristic("min-min").build(),
                PreconditionError);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ScenarioBuilder().tc_weight_pct(inf).build(), PreconditionError);
+  EXPECT_THROW(ScenarioBuilder().blanket_pct(inf).build(), PreconditionError);
   // Heuristic-vs-mode agreement: min-min is batch-only, mct immediate-only.
   EXPECT_THROW(ScenarioBuilder().heuristic("min-min").immediate().build(),
                PreconditionError);
