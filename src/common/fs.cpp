@@ -112,6 +112,23 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
+AppendFile::AppendFile(const std::string& path) : path_(path) {
+  GT_REQUIRE(!path.empty(), "AppendFile requires a path");
+  fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  GT_REQUIRE(fd_ >= 0, "cannot open for appending: " + path);
+}
+
+AppendFile::~AppendFile() { ::close(fd_); }
+
+void AppendFile::append(const std::string& data) {
+  if (!write_all(fd_, data)) throw_errno("short append to " + path_);
+  // fdatasync suffices: it also flushes the file size an append changes.
+  // The directory entry is the creator's concern (the journal header goes
+  // through atomic_write_file, which syncs the parent directory).
+  if (::fdatasync(fd_) != 0) throw_errno("fdatasync of " + path_);
+  g_file_syncs.fetch_add(1, std::memory_order_relaxed);
+}
+
 FsSyncStats fs_sync_stats() {
   FsSyncStats stats;
   stats.file_syncs = g_file_syncs.load(std::memory_order_relaxed);

@@ -56,9 +56,9 @@ Journal parse_journal(const std::string& text) {
   Journal journal;
   journal.spec = header.at("spec").as_string();
   journal.spec_hash = header.at("spec_hash").as_string();
-  journal.seed = static_cast<std::uint64_t>(header.at("seed").as_number());
+  journal.seed = parse_count(header.at("seed"), "journal seed");
   journal.replications =
-      static_cast<std::size_t>(header.at("replications").as_number());
+      parse_count(header.at("replications"), "journal replications");
 
   for (std::size_t i = 1; i < lines.size(); ++i) {
     try {

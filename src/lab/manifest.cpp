@@ -99,13 +99,6 @@ std::vector<std::pair<std::string, ParamValue>> parse_params(
   return out;
 }
 
-std::size_t parse_size(const obs::JsonValue& value, const char* what) {
-  const double n = value.as_number();
-  GT_REQUIRE(n >= 0 && n == std::floor(n),
-             std::string("manifest field is not a count: ") + what);
-  return static_cast<std::size_t>(n);
-}
-
 std::string params_label(
     const std::vector<std::pair<std::string, ParamValue>>& params) {
   std::string out;
@@ -135,6 +128,17 @@ std::uint64_t parse_hex64(const std::string& text) {
 }
 
 }  // namespace
+
+std::uint64_t parse_count(const obs::JsonValue& value, const char* what) {
+  const double n = value.as_number();
+  // 2^64 is exactly representable; every double below it converts to
+  // std::uint64_t without undefined behaviour.  NaN fails the first test.
+  GT_REQUIRE(n >= 0 && n < 18446744073709551616.0 && n == std::floor(n),
+             std::string("field is not a count (a non-negative integer "
+                         "below 2^64): ") +
+                 what);
+  return static_cast<std::uint64_t>(n);
+}
 
 std::string to_string(CellStatus status) {
   switch (status) {
@@ -206,10 +210,10 @@ std::string to_json(const Manifest& manifest) {
 
 ManifestCell parse_manifest_cell(const obs::JsonValue& value) {
   ManifestCell cell;
-  cell.index = parse_size(value.at("index"), "index");
+  cell.index = parse_count(value.at("index"), "index");
   cell.params = parse_params(value.at("params"));
   cell.param_hash = value.at("param_hash").as_string();
-  cell.replications = parse_size(value.at("replications"), "replications");
+  cell.replications = parse_count(value.at("replications"), "replications");
   // v1 cells carry no status/failures: default to ok.
   if (value.has("status")) {
     cell.status = parse_cell_status(value.at("status").as_string());
@@ -218,17 +222,17 @@ ManifestCell parse_manifest_cell(const obs::JsonValue& value) {
     MetricAggregate m;
     m.mean = agg.at("mean").as_number();
     m.ci95 = agg.at("ci95").as_number();
-    m.n = parse_size(agg.at("n"), "metric n");
+    m.n = parse_count(agg.at("n"), "metric n");
     cell.metrics.emplace_back(name, m);
   }
   if (value.has("failures")) {
     for (const obs::JsonValue& f : value.at("failures").as_array()) {
       UnitFailure failure;
-      failure.rep = parse_size(f.at("rep"), "failure rep");
+      failure.rep = parse_count(f.at("rep"), "failure rep");
       failure.seed = parse_hex64(f.at("seed").as_string());
       failure.error_class = parse_error_class(f.at("class").as_string());
       failure.message = f.at("message").as_string();
-      failure.attempts = parse_size(f.at("attempts"), "failure attempts");
+      failure.attempts = parse_count(f.at("attempts"), "failure attempts");
       cell.failures.push_back(std::move(failure));
     }
   }
@@ -248,8 +252,8 @@ Manifest parse_manifest(const std::string& json) {
   m.title = doc.at("title").as_string();
   m.spec_hash = doc.at("spec_hash").as_string();
   m.git_rev = doc.at("git_rev").as_string();
-  m.seed = static_cast<std::uint64_t>(parse_size(doc.at("seed"), "seed"));
-  m.replications = parse_size(doc.at("replications"), "replications");
+  m.seed = parse_count(doc.at("seed"), "seed");
+  m.replications = parse_count(doc.at("replications"), "replications");
   m.tolerance_pct = doc.at("tolerance_pct").as_number();
   if (doc.has("outcome")) {
     m.outcome = parse_run_outcome(doc.at("outcome").as_string());

@@ -113,6 +113,12 @@ Manifest parse_manifest(const std::string& json);
 /// Parses one cell object (as written by cell_to_json).
 ManifestCell parse_manifest_cell(const obs::JsonValue& value);
 
+/// Reads a count (seed, replications, index, n, ...): a JSON number that
+/// is finite, non-negative, integral and below 2^64.  Throws
+/// PreconditionError naming `what` otherwise.  Every manifest and journal
+/// count goes through it.
+std::uint64_t parse_count(const obs::JsonValue& value, const char* what);
+
 /// Baseline comparison knobs.
 struct CompareOptions {
   /// Relative gate in percent; negative means "use the baseline's

@@ -1,5 +1,9 @@
 #include "trust/agents.hpp"
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "common/error.hpp"
 #include "trust/gamma_policy.hpp"
 
@@ -69,20 +73,73 @@ std::size_t DomainTrustBridge::refresh(TrustLevelTable& table,
                  table.resource_domains() == n_rd_ &&
                  table.activities() == n_act_,
              "table dimensions do not match the bridge");
+  // One activity at a time, the policy answers whole columns: the gates
+  // from one count query per (RD, activity) and per (CD, activity) column,
+  // then the forward levels of the gated CDs about each RD and the reverse
+  // levels of the gated RDs about each CD.  The evaluated entries are the
+  // ones a per-entry walk would evaluate, so every counter stays the same.
+  std::vector<EntityId> cds(n_cd_);
+  std::vector<EntityId> rds(n_rd_);
+  for (std::size_t cd = 0; cd < n_cd_; ++cd) cds[cd] = cd_entity(cd);
+  for (std::size_t rd = 0; rd < n_rd_; ++rd) rds[rd] = rd_entity(rd);
+  // Per (CD, RD) pair of the current activity, indexed cd * n_rd_ + rd.
+  std::vector<std::uint64_t> observed(n_cd_ * n_rd_);
+  std::vector<TrustLevel> forward(n_cd_ * n_rd_);
+  // Buffers reused by every column query.
+  const std::size_t longest = std::max(n_cd_, n_rd_);
+  std::vector<std::uint64_t> counts(longest);
+  std::vector<EntityId> trusters;
+  trusters.reserve(longest);
+  std::vector<TrustLevel> levels(longest);
+
   std::size_t updated = 0;
-  for (std::size_t cd = 0; cd < n_cd_; ++cd) {
+  for (std::size_t act = 0; act < n_act_; ++act) {
+    const auto ctx = static_cast<ContextId>(act);
     for (std::size_t rd = 0; rd < n_rd_; ++rd) {
-      for (std::size_t act = 0; act < n_act_; ++act) {
-        const auto ctx = static_cast<ContextId>(act);
-        const std::uint64_t observations =
-            policy_->observation_count(cd_entity(cd), rd_entity(rd), ctx) +
-            policy_->observation_count(rd_entity(rd), cd_entity(cd), ctx);
-        if (observations < min_transactions_) continue;
-        const TrustLevel forward =
-            policy_->offered_level(cd_entity(cd), rd_entity(rd), ctx, now);
-        const TrustLevel reverse =
-            policy_->offered_level(rd_entity(rd), cd_entity(cd), ctx, now);
-        const TrustLevel symmetric = min_level(forward, reverse);
+      policy_->observation_counts(cds, rds[rd], ctx,
+                                  std::span(counts).first(n_cd_));
+      for (std::size_t cd = 0; cd < n_cd_; ++cd) {
+        observed[cd * n_rd_ + rd] = counts[cd];
+      }
+    }
+    for (std::size_t cd = 0; cd < n_cd_; ++cd) {
+      policy_->observation_counts(rds, cds[cd], ctx,
+                                  std::span(counts).first(n_rd_));
+      for (std::size_t rd = 0; rd < n_rd_; ++rd) {
+        observed[cd * n_rd_ + rd] += counts[rd];
+      }
+    }
+    const auto gated = [&](std::size_t cd, std::size_t rd) {
+      return observed[cd * n_rd_ + rd] >= min_transactions_;
+    };
+
+    for (std::size_t rd = 0; rd < n_rd_; ++rd) {
+      trusters.clear();
+      for (std::size_t cd = 0; cd < n_cd_; ++cd) {
+        if (gated(cd, rd)) trusters.push_back(cds[cd]);
+      }
+      if (trusters.empty()) continue;
+      policy_->offered_levels(trusters, rds[rd], ctx, now,
+                              std::span(levels).first(trusters.size()));
+      std::size_t k = 0;
+      for (std::size_t cd = 0; cd < n_cd_; ++cd) {
+        if (gated(cd, rd)) forward[cd * n_rd_ + rd] = levels[k++];
+      }
+    }
+
+    for (std::size_t cd = 0; cd < n_cd_; ++cd) {
+      trusters.clear();
+      for (std::size_t rd = 0; rd < n_rd_; ++rd) {
+        if (gated(cd, rd)) trusters.push_back(rds[rd]);
+      }
+      if (trusters.empty()) continue;
+      policy_->offered_levels(trusters, cds[cd], ctx, now,
+                              std::span(levels).first(trusters.size()));
+      std::size_t k = 0;
+      for (std::size_t rd = 0; rd < n_rd_; ++rd) {
+        if (!gated(cd, rd)) continue;
+        const TrustLevel symmetric =
+            min_level(forward[cd * n_rd_ + rd], levels[k++]);
         if (table.get(cd, rd, act) != symmetric) {
           table.set(cd, rd, act, symmetric);
           ++updated;

@@ -71,7 +71,8 @@ class DomainTrustBridge {
   /// quantifier of an asymmetric relationship; we quantify conservatively as
   /// the minimum of the two directed evaluations.  Entries with fewer than
   /// min_transactions observations are left untouched.  Returns the number
-  /// of entries updated.
+  /// of entries updated.  Asks the policy's column queries, one activity
+  /// at a time; the result equals a per-entry walk, counters included.
   std::size_t refresh(TrustLevelTable& table, double now) const;
 
   /// The backend forming trust for this bridge.

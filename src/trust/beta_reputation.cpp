@@ -79,8 +79,7 @@ std::size_t BetaReputationEngine::forget(EntityId entity) {
 TrustLevel BetaReputationEngine::offered_level(EntityId target,
                                                ContextId context,
                                                double now) const {
-  return min_level(quantize_level(reputation_score(target, context, now)),
-                   kMaxOfferedLevel);
+  return quantize_offered_level(reputation_score(target, context, now));
 }
 
 }  // namespace gridtrust::trust

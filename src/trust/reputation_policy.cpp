@@ -39,9 +39,26 @@ void ReputationPolicy::record_recommendation(const Recommendation& rec) {
 TrustLevel ReputationPolicy::offered_level(EntityId truster, EntityId trustee,
                                            ContextId context,
                                            double now) const {
-  const TrustLevel level =
-      quantize_level(evaluate(truster, trustee, context, now));
-  return min_level(level, kMaxOfferedLevel);
+  return quantize_offered_level(evaluate(truster, trustee, context, now));
+}
+
+void ReputationPolicy::observation_counts(std::span<const EntityId> trusters,
+                                          EntityId trustee, ContextId context,
+                                          std::span<std::uint64_t> out) const {
+  GT_REQUIRE(out.size() == trusters.size(), "need one output per truster");
+  for (std::size_t k = 0; k < trusters.size(); ++k) {
+    out[k] = observation_count(trusters[k], trustee, context);
+  }
+}
+
+void ReputationPolicy::offered_levels(std::span<const EntityId> trusters,
+                                      EntityId trustee, ContextId context,
+                                      double now,
+                                      std::span<TrustLevel> out) const {
+  GT_REQUIRE(out.size() == trusters.size(), "need one output per truster");
+  for (std::size_t k = 0; k < trusters.size(); ++k) {
+    out[k] = offered_level(trusters[k], trustee, context, now);
+  }
 }
 
 void ReputationPolicy::counters_to_report(obs::RunReport& report) const {

@@ -33,4 +33,8 @@ TrustLevel quantize_level(double score) {
   return static_cast<TrustLevel>(static_cast<int>(std::lround(clamped)));
 }
 
+TrustLevel quantize_offered_level(double score) {
+  return min_level(quantize_level(score), kMaxOfferedLevel);
+}
+
 }  // namespace gridtrust::trust

@@ -47,6 +47,10 @@ constexpr bool is_valid_level(int value) { return value >= 1 && value <= 6; }
 /// continuous Γ values into the discrete trust-level table.
 TrustLevel quantize_level(double score);
 
+/// quantize_level() capped at E: the level an agent may offer for a
+/// continuous trust score (an offered level is never F).
+TrustLevel quantize_offered_level(double score);
+
 /// The smaller of two levels (used for composite-activity OTL).
 constexpr TrustLevel min_level(TrustLevel a, TrustLevel b) {
   return to_numeric(a) < to_numeric(b) ? a : b;
