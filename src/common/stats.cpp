@@ -86,15 +86,21 @@ double mean_of(const std::vector<double>& xs) {
 }
 
 double percentile(std::vector<double> values, double p) {
-  GT_REQUIRE(!values.empty(), "percentile requires a non-empty sample");
-  GT_REQUIRE(p >= 0.0 && p <= 100.0, "percentile p must be in [0, 100]");
   std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  return sorted_percentile(values, p);
+}
+
+double sorted_percentile(const std::vector<double>& sorted, double p) {
+  GT_REQUIRE(!sorted.empty(), "percentile requires a non-empty sample");
+  GT_REQUIRE(p >= 0.0 && p <= 100.0, "percentile p must be in [0, 100]");
+  GT_REQUIRE(std::is_sorted(sorted.begin(), sorted.end()),
+             "sorted_percentile requires an ascending sample");
+  if (sorted.size() == 1) return sorted.front();
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 PairedComparison paired_comparison(const std::vector<double>& base,

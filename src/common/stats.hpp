@@ -65,6 +65,11 @@ double mean_of(const std::vector<double>& xs);
 /// copied, so callers keep their ordering.  Requires a non-empty sample.
 double percentile(std::vector<double> values, double p);
 
+/// percentile() of a sample that is already sorted ascending, without the
+/// copy and the sort: callers that need several percentiles of one sample
+/// sort it once.  Requires a non-empty, ascending sample.
+double sorted_percentile(const std::vector<double>& sorted, double p);
+
 /// Paired-sample summary for comparing two policies on common random numbers.
 struct PairedComparison {
   double mean_base = 0.0;       ///< mean of the baseline samples

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -123,6 +124,10 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
   run.manifest = manifest_header(spec, seed, replications);
 
   const std::vector<Cell> cells = spec.cells();
+  GT_REQUIRE(cells.empty() ||
+                 replications <= std::numeric_limits<std::size_t>::max() /
+                                     cells.size(),
+             "cells x replications overflows the unit count");
   run.manifest.cells.resize(cells.size());
 
   // Shard restriction: only subset cells are eligible to run, resume, or

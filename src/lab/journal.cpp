@@ -27,7 +27,7 @@ std::string journal_to_jsonl(const Journal& journal) {
   out += "\",\"spec_hash\":\"";
   out += json_escape(journal.spec_hash);
   out += "\",\"seed\":";
-  out += json_number(static_cast<double>(journal.seed));
+  out += std::to_string(journal.seed);  // exact: a double drops low bits
   out += ",\"replications\":";
   out += json_number(static_cast<double>(journal.replications));
   out += "}\n";

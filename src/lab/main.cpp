@@ -182,30 +182,30 @@ int cmd_run(const std::vector<std::string>& names, const CliParser& cli) {
     resolved.insert(resolved.end(), expansion.begin(), expansion.end());
   }
 
+  // Counts are cast to unsigned types, where a negative value would wrap.
+  const auto count = [&](const char* name) {
+    const std::int64_t value = cli.get_int(name);
+    GT_REQUIRE(value >= 0, std::string("--") + name + " must be >= 0");
+    return static_cast<std::uint64_t>(value);
+  };
   lab::EngineOptions options;
-  options.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
-  if (cli.was_set("seed")) {
-    options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  }
+  options.jobs = static_cast<std::size_t>(count("jobs"));
+  if (cli.was_set("seed")) options.seed = count("seed");
   if (cli.was_set("replications")) {
-    options.replications = static_cast<std::size_t>(
-        cli.get_int("replications"));
+    options.replications = static_cast<std::size_t>(count("replications"));
   }
   options.cache_dir = cli.get_string("cache-dir");
 
   // Fault tolerance: N retries = N + 1 attempts; the CLI default budget is
   // fully tolerant (a long campaign should survive a sick cell), while
   // library callers keep the strict zero-budget default.
-  const std::int64_t retries = cli.get_int("retries");
-  GT_REQUIRE(retries >= 0, "--retries must be >= 0");
-  options.retry.max_attempts = static_cast<std::size_t>(retries) + 1;
+  options.retry.max_attempts = static_cast<std::size_t>(count("retries")) + 1;
   options.failure_budget_pct = cli.get_double("failure-budget");
   GT_REQUIRE(options.failure_budget_pct >= 0.0 &&
                  options.failure_budget_pct <= 100.0,
              "--failure-budget must be in [0, 100]");
   options.unit_deadline_seconds = cli.get_double("unit-deadline");
-  options.unit_sleep_ms =
-      static_cast<std::uint64_t>(cli.get_int("unit-sleep-ms"));
+  options.unit_sleep_ms = count("unit-sleep-ms");
   options.journal_path = cli.get_string("journal");
   options.resume_journal = cli.get_string("resume");
   if (!options.resume_journal.empty() && options.journal_path.empty()) {

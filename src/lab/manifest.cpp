@@ -1,6 +1,7 @@
 #include "lab/manifest.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "common/error.hpp"
 #include "obs/json.hpp"
@@ -130,6 +131,12 @@ std::uint64_t parse_hex64(const std::string& text) {
 }  // namespace
 
 std::uint64_t parse_count(const obs::JsonValue& value, const char* what) {
+  // Plain integer tokens are read exactly; anything else (an exponent form
+  // such as 1.7537090160022989e+19 from older writers) goes through the
+  // double.
+  if (const std::optional<std::uint64_t> exact = value.exact_uint()) {
+    return *exact;
+  }
   const double n = value.as_number();
   // 2^64 is exactly representable; every double below it converts to
   // std::uint64_t without undefined behaviour.  NaN fails the first test.
@@ -190,7 +197,7 @@ std::string to_json(const Manifest& manifest) {
   out += "\",\"git_rev\":\"";
   out += json_escape(manifest.git_rev);
   out += "\",\"seed\":";
-  out += json_number(static_cast<double>(manifest.seed));
+  out += std::to_string(manifest.seed);  // exact: a double drops low bits
   out += ",\"replications\":";
   out += json_number(static_cast<double>(manifest.replications));
   out += ",\"tolerance_pct\":";

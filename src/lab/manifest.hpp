@@ -114,7 +114,8 @@ Manifest parse_manifest(const std::string& json);
 ManifestCell parse_manifest_cell(const obs::JsonValue& value);
 
 /// Reads a count (seed, replications, index, n, ...): a JSON number that
-/// is finite, non-negative, integral and below 2^64.  Throws
+/// is finite, non-negative, integral and below 2^64.  A count written as
+/// plain digits is read exactly, so every 64-bit seed round-trips.  Throws
 /// PreconditionError naming `what` otherwise.  Every manifest and journal
 /// count goes through it.
 std::uint64_t parse_count(const obs::JsonValue& value, const char* what);

@@ -14,10 +14,11 @@ namespace detail {
 
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "null";
-  // Integers up to 2^53 print exactly without a fraction; everything else
-  // uses %.17g so the value round-trips.
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::abs(value) < 9.0e15) {
+  // Integers below 9e15 print exactly without a fraction; everything else
+  // uses %.17g so the value round-trips.  The magnitude is checked first:
+  // converting a double outside long long's range is undefined behaviour.
+  if (std::abs(value) < 9.0e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(value));
     return buf;

@@ -1,5 +1,6 @@
 #include "obs/json_in.hpp"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -14,6 +15,11 @@ bool JsonValue::as_bool() const {
 double JsonValue::as_number() const {
   GT_REQUIRE(kind_ == Kind::kNumber, "JSON value is not a number");
   return number_;
+}
+
+std::optional<std::uint64_t> JsonValue::exact_uint() const {
+  GT_REQUIRE(kind_ == Kind::kNumber, "JSON value is not a number");
+  return uint_;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -62,6 +68,12 @@ JsonValue JsonValue::make_number(double n) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
   v.number_ = n;
+  return v;
+}
+
+JsonValue JsonValue::make_uint(std::uint64_t n) {
+  JsonValue v = make_number(static_cast<double>(n));
+  v.uint_ = n;
   return v;
 }
 
@@ -290,6 +302,13 @@ class Parser {
       require(digits(), "digits required in exponent");
     }
     const std::string token = text_.substr(start, pos_ - start);
+    if (token.find_first_not_of("0123456789") == std::string::npos) {
+      std::uint64_t exact = 0;
+      if (std::from_chars(token.data(), token.data() + token.size(), exact)
+              .ec == std::errc()) {
+        return JsonValue::make_uint(exact);
+      }
+    }
     return JsonValue::make_number(std::strtod(token.c_str(), nullptr));
   }
 

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +30,11 @@ class JsonValue {
   /// Typed accessors; each throws PreconditionError on a kind mismatch.
   bool as_bool() const;
   double as_number() const;
+  /// The exact value of a number written as plain digits (no sign,
+  /// fraction or exponent) that fits in 64 bits; nullopt for any other
+  /// number.  as_number() holds the same value rounded to a double.
+  /// Throws PreconditionError when this is not a number.
+  std::optional<std::uint64_t> exact_uint() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
   const std::vector<std::pair<std::string, JsonValue>>& as_object() const;
@@ -41,6 +48,8 @@ class JsonValue {
   static JsonValue make_null();
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double n);
+  /// A number that also keeps `n` exactly (see exact_uint()).
+  static JsonValue make_uint(std::uint64_t n);
   static JsonValue make_string(std::string s);
   static JsonValue make_array(std::vector<JsonValue> items);
   static JsonValue make_object(
@@ -50,6 +59,7 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  std::optional<std::uint64_t> uint_;
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;

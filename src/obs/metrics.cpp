@@ -30,28 +30,19 @@ Interner& interner() {
   return instance;
 }
 
-/// Bumped on every install(); recording threads re-resolve their shard when
-/// the generation moves, so stale shard pointers are never dereferenced.
-std::atomic<std::uint64_t> g_generation{0};
 std::atomic<MetricsRegistry*> g_registry{nullptr};
 
-struct ThreadCache {
-  std::uint64_t generation = ~std::uint64_t{0};
-  Shard* shard = nullptr;
-};
-
-thread_local ThreadCache t_cache;
-
-/// Cold path of current_shard(): the installed registry changed since this
-/// thread last recorded; attach (or detach) accordingly.
-Shard* refresh_cache(ThreadCache& cache, std::uint64_t generation) {
-  MetricsRegistry* reg = g_registry.load(std::memory_order_acquire);
-  cache.shard = reg != nullptr ? reg->attach_shard() : nullptr;
-  cache.generation = generation;
-  return cache.shard;
-}
-
 }  // namespace
+
+std::atomic<std::uint64_t> g_generation{0};
+thread_local constinit ThreadCache t_cache;
+
+Shard* refresh_cache(std::uint64_t generation) {
+  MetricsRegistry* reg = g_registry.load(std::memory_order_acquire);
+  t_cache.shard = reg != nullptr ? reg->attach_shard() : nullptr;
+  t_cache.generation = generation;
+  return t_cache.shard;
+}
 
 Shard::HistCell::HistCell(std::vector<double> bucket_bounds)
     : bounds(std::move(bucket_bounds)),
@@ -86,18 +77,23 @@ Shard::~Shard() {
   }
 }
 
-Shard::Cell& Shard::cell(std::uint32_t id) {
-  const std::size_t chunk_index = id / kChunkSize;
-  GT_ASSERT(chunk_index < kMaxChunks);
-  std::atomic<Chunk*>& slot = chunks_[chunk_index];
-  Chunk* chunk = slot.load(std::memory_order_relaxed);
-  if (chunk == nullptr) {
-    chunk = new Chunk();
-    // Release so a snapshotting thread that acquires the pointer sees the
-    // zero-initialized cells.
-    slot.store(chunk, std::memory_order_release);
+Shard::Chunk* Shard::allocate_chunk(std::size_t index) {
+  GT_ASSERT(index < kMaxChunks);
+  auto* chunk = new Chunk();
+  chunks_[index].store(chunk, std::memory_order_release);
+  return chunk;
+}
+
+Shard::HistCell* Shard::allocate_hist(Cell& slot, std::uint32_t id) {
+  std::vector<double> bounds;
+  {
+    Interner& table = interner();
+    const MutexLock lock(&table.mutex);
+    bounds = table.infos[id].bounds;
   }
-  return chunk->cells[id % kChunkSize];
+  auto* hist = new HistCell(std::move(bounds));
+  slot.hist.store(hist, std::memory_order_release);
+  return hist;
 }
 
 const Shard::Cell* Shard::try_cell(std::uint32_t id) const {
@@ -106,14 +102,6 @@ const Shard::Cell* Shard::try_cell(std::uint32_t id) const {
   const Chunk* chunk = chunks_[chunk_index].load(std::memory_order_acquire);
   if (chunk == nullptr) return nullptr;
   return &chunk->cells[id % kChunkSize];
-}
-
-Shard* current_shard() {
-  const std::uint64_t generation =
-      g_generation.load(std::memory_order_acquire);
-  ThreadCache& cache = t_cache;
-  if (cache.generation == generation) return cache.shard;
-  return refresh_cache(cache, generation);
 }
 
 std::uint32_t intern(std::string_view name, MetricKind kind,
@@ -249,24 +237,6 @@ void install(MetricsRegistry* target) {
 
 MetricsRegistry* registry() {
   return detail::g_registry.load(std::memory_order_acquire);
-}
-
-void Histogram::observe(double value) const {
-  detail::Shard* shard = detail::current_shard();
-  if (shard == nullptr) return;
-  detail::Shard::Cell& cell = shard->cell(id_);
-  detail::Shard::HistCell* hist = cell.hist.load(std::memory_order_relaxed);
-  if (hist == nullptr) {
-    std::vector<double> bounds;
-    {
-      detail::Interner& table = detail::interner();
-      const MutexLock lock(&table.mutex);
-      bounds = table.infos[id_].bounds;
-    }
-    hist = new detail::Shard::HistCell(std::move(bounds));
-    cell.hist.store(hist, std::memory_order_release);
-  }
-  hist->observe(value);
 }
 
 std::vector<double> duration_bounds_ns() {

@@ -94,8 +94,24 @@ class Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  /// Owner-thread accessor; allocates the chunk on first touch.
-  Cell& cell(std::uint32_t id);
+  /// Owner-thread accessor: one relaxed load of the chunk pointer.  The
+  /// first touch of a chunk allocates it out of line.  `id` comes from
+  /// `intern`, which keeps it below kChunkSize * kMaxChunks.
+  Cell& cell(std::uint32_t id) {
+    Chunk* chunk = chunks_[id / kChunkSize].load(std::memory_order_relaxed);
+    if (chunk == nullptr) [[unlikely]] chunk = allocate_chunk(id / kChunkSize);
+    return chunk->cells[id % kChunkSize];
+  }
+
+  /// Owner-thread accessor for histogram `id`'s storage; the first touch
+  /// allocates it out of line.
+  HistCell& hist(std::uint32_t id) {
+    Cell& slot = cell(id);
+    HistCell* storage = slot.hist.load(std::memory_order_relaxed);
+    if (storage == nullptr) [[unlikely]] storage = allocate_hist(slot, id);
+    return *storage;
+  }
+
   /// Reader accessor; returns nullptr when the chunk was never touched.
   const Cell* try_cell(std::uint32_t id) const;
 
@@ -103,6 +119,14 @@ class Shard {
   struct Chunk {
     std::array<Cell, kChunkSize> cells;
   };
+
+  /// Allocates chunk `index` and publishes it with a release store, so a
+  /// snapshotting thread that acquires the pointer sees zeroed cells.
+  Chunk* allocate_chunk(std::size_t index);
+  /// Allocates `slot`'s histogram storage with metric `id`'s bounds and
+  /// publishes it with a release store.
+  HistCell* allocate_hist(Cell& slot, std::uint32_t id);
+
   std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
 };
 
@@ -114,9 +138,35 @@ void bump(std::atomic<T>& cell, T delta) {
              std::memory_order_relaxed);
 }
 
+/// A thread's shard for one install generation.  Both members have
+/// constant initializers, so the `constinit` thread_local below is read
+/// without a TLS initialization guard.
+struct ThreadCache {
+  std::uint64_t generation = ~std::uint64_t{0};
+  Shard* shard = nullptr;
+};
+
+/// Bumped on every install(); a recording thread re-resolves its shard
+/// when the generation moves, so a stale shard pointer is never
+/// dereferenced.
+extern std::atomic<std::uint64_t> g_generation;
+extern thread_local constinit ThreadCache t_cache;
+
+/// Cold path of current_shard(): the installed registry changed since this
+/// thread last recorded; attaches (or detaches) the thread and caches the
+/// result for `generation`.
+Shard* refresh_cache(std::uint64_t generation);
+
 /// The owner thread's shard for the currently installed registry, or
-/// nullptr when collection is disabled.  This is the whole hot path guard.
-Shard* current_shard();
+/// nullptr when collection is disabled.  This is the whole hot path guard:
+/// one acquire load of the generation and one compare against the
+/// thread's cache.
+inline Shard* current_shard() {
+  const std::uint64_t generation =
+      g_generation.load(std::memory_order_acquire);
+  if (t_cache.generation == generation) [[likely]] return t_cache.shard;
+  return refresh_cache(generation);
+}
 
 /// Interns `name`, enforcing kind (and bucket-bounds) consistency.
 std::uint32_t intern(std::string_view name, MetricKind kind,
@@ -235,7 +285,11 @@ class Histogram {
   Histogram(std::string_view name, std::vector<double> bounds)
       : id_(detail::intern(name, MetricKind::kHistogram, std::move(bounds))) {}
 
-  void observe(double value) const;
+  void observe(double value) const {
+    if (detail::Shard* shard = detail::current_shard()) {
+      shard->hist(id_).observe(value);
+    }
+  }
 
  private:
   std::uint32_t id_;

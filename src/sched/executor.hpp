@@ -19,8 +19,8 @@ Schedule run_immediate(const SchedulingProblem& p, ImmediateHeuristic& h);
 Schedule run_batch_all(const SchedulingProblem& p, BatchHeuristic& h,
                        double ready = 0.0);
 
-/// select_machine with scheduler metrics (`sched.heuristic_invocations`,
-/// `sched.select_machine_ns`); behaviourally identical to calling the
+/// select_machine with the scheduler's decision counter
+/// (`sched.heuristic_invocations`); behaviourally identical to calling the
 /// heuristic directly.  All executors — offline and the DES-driven RMS —
 /// funnel heuristic calls through these two wrappers so instrumentation
 /// lives in one place.

@@ -48,18 +48,6 @@ double draw_conduct(double mean, double sigma, Rng& rng) {
   return std::clamp(mean + rng.normal(0.0, sigma), 1.0, 6.0);
 }
 
-/// Mean numeric table level of one resource domain over all (CD, activity).
-double mean_table_level(const trust::TrustLevelTable& table, std::size_t rd) {
-  double sum = 0.0;
-  for (std::size_t cd = 0; cd < table.client_domains(); ++cd) {
-    for (std::size_t act = 0; act < table.activities(); ++act) {
-      sum += static_cast<double>(trust::to_numeric(table.get(cd, rd, act)));
-    }
-  }
-  return sum / static_cast<double>(table.client_domains() *
-                                   table.activities());
-}
-
 /// Mean of one per-round metric over the last half of the rounds (the
 /// learned steady state).
 template <typename Round>
@@ -275,7 +263,7 @@ class RoundLoop {
   /// the stranger level — the cost of admitting newcomers.
   void whitewash() {
     for (std::size_t rd = 0; rd < n_rd_; ++rd) {
-      if (!behavior_.should_whitewash(rd, mean_table_level(table_, rd))) {
+      if (!behavior_.should_whitewash(rd, table_.resource_domain_mean(rd))) {
         continue;
       }
       bridge_.policy().forget(bridge_.rd_entity(rd));
@@ -388,7 +376,7 @@ CampaignResult run_campaign(const Scenario& scenario,
     // Misclassification against ground truth, post-refresh/reset.
     std::size_t wrong = 0;
     for (std::size_t rd = 0; rd < n_rd; ++rd) {
-      const bool believed_bad = mean_table_level(loop.table(), rd) < 3.0;
+      const bool believed_bad = loop.table().resource_domain_mean(rd) < 3.0;
       if (believed_bad != loop.behavior().adversarial_rd(rd)) ++wrong;
     }
     metrics.misclassification_rate =
@@ -526,7 +514,7 @@ MarketCampaignResult run_market_campaign(const Scenario& scenario,
           makespan > 0.0 ? cleared.schedule.machine_available[m] / makespan
                          : 0.0;
       signals.trust_level[m] =
-          mean_table_level(loop.table(), grid.domain_of_machine(m));
+          loop.table().resource_domain_mean(grid.domain_of_machine(m));
     }
     prices->update_round(signals);
     metrics.price_index = prices->price_index();

@@ -1,5 +1,6 @@
 #include "sim/trm_simulation.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -28,8 +29,9 @@ SimulationResult finish(const sched::SchedulingProblem& problem,
   for (std::size_t r = 0; r < problem.num_requests(); ++r) {
     flows.push_back(schedule.completion[r] - problem.arrival_time(r));
   }
-  out.flow_time_p50 = percentile(flows, 50.0);
-  out.flow_time_p95 = percentile(flows, 95.0);
+  std::sort(flows.begin(), flows.end());
+  out.flow_time_p50 = sorted_percentile(flows, 50.0);
+  out.flow_time_p95 = sorted_percentile(flows, 95.0);
   out.batches = batches;
   out.events = events;
   out.schedule = std::move(schedule);
@@ -43,14 +45,11 @@ SimulationResult run_immediate_mode(const sched::SchedulingProblem& problem,
   des::Simulator sim;
   sched::Schedule schedule = sched::Schedule::for_problem(problem);
   for (std::size_t r = 0; r < problem.num_requests(); ++r) {
-    sim.schedule_at(
-        problem.arrival_time(r),
-        [&, r] {
-          const std::size_t m = sched::select_machine_instrumented(
-              *heuristic, problem, r, sim.now(), schedule);
-          sched::commit_assignment(problem, r, m, sim.now(), schedule);
-        },
-        "rms_arrival");
+    sim.schedule_at(problem.arrival_time(r), [&, r] {
+      const std::size_t m = sched::select_machine_instrumented(
+          *heuristic, problem, r, sim.now(), schedule);
+      sched::commit_assignment(problem, r, m, sim.now(), schedule);
+    });
   }
   sim.run();
   return finish(problem, std::move(schedule), 0, sim.executed_events());
@@ -69,13 +68,12 @@ SimulationResult run_batch_mode(const sched::SchedulingProblem& problem,
   std::size_t batches = 0;
 
   for (std::size_t r = 0; r < problem.num_requests(); ++r) {
-    sim.schedule_at(
-        problem.arrival_time(r), [&, r] { queue.push_back(r); },
-        "rms_arrival");
+    sim.schedule_at(problem.arrival_time(r), [&, r] { queue.push_back(r); });
   }
 
   // Recurring meta-request formation tick; reschedules itself until every
-  // request has been dispatched.
+  // request has been dispatched.  Each event holds only a pointer to the
+  // tick, so rescheduling never copies its closure onto the heap.
   std::function<void()> tick = [&] {
     if (!queue.empty()) {
       ++batches;
@@ -85,10 +83,10 @@ SimulationResult run_batch_mode(const sched::SchedulingProblem& problem,
       queue.clear();
     }
     if (dispatched < problem.num_requests()) {
-      sim.schedule_in(config.batch_interval, tick, "rms_batch_tick");
+      sim.schedule_in(config.batch_interval, [&tick] { tick(); });
     }
   };
-  sim.schedule_in(config.batch_interval, tick, "rms_batch_tick");
+  sim.schedule_in(config.batch_interval, [&tick] { tick(); });
 
   sim.run();
   return finish(problem, std::move(schedule), batches, sim.executed_events());

@@ -58,9 +58,23 @@ TrustLevel TrustLevelTable::offered_trust_level(
              "a composite activity needs at least one ToA");
   TrustLevel otl = kMaxOfferedLevel;
   for (const std::size_t act : activities) {
-    otl = min_level(otl, get(cd, rd, act));
+    otl = min_level(otl, levels_[offset(cd, rd, act)]);
   }
+  kTableLookups.add(static_cast<double>(activities.size()));
   return otl;
+}
+
+double TrustLevelTable::resource_domain_mean(std::size_t rd) const {
+  GT_REQUIRE(rd < n_rd_, "resource domain index out of range");
+  double sum = 0.0;
+  for (std::size_t cd = 0; cd < n_cd_; ++cd) {
+    const std::size_t row = (cd * n_rd_ + rd) * n_act_;
+    for (std::size_t act = 0; act < n_act_; ++act) {
+      sum += static_cast<double>(to_numeric(levels_[row + act]));
+    }
+  }
+  kTableLookups.add(static_cast<double>(n_cd_ * n_act_));
+  return sum / static_cast<double>(n_cd_ * n_act_);
 }
 
 void TrustLevelTable::randomize(Rng& rng) {

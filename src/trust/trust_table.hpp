@@ -28,7 +28,8 @@ class TrustLevelTable {
   std::size_t resource_domains() const { return n_rd_; }
   std::size_t activities() const { return n_act_; }
 
-  /// Reads one entry; indices are range-checked.
+  /// Reads one entry; indices are range-checked.  Every read counts as one
+  /// `trust.table_lookups`.
   TrustLevel get(std::size_t cd, std::size_t rd, std::size_t activity) const;
 
   /// Writes one entry.  Offered levels are capped at E by the model, so
@@ -41,6 +42,11 @@ class TrustLevelTable {
   /// and in range.
   TrustLevel offered_trust_level(std::size_t cd, std::size_t rd,
                                  std::span<const std::size_t> activities) const;
+
+  /// Mean numeric level of resource domain `rd` over every (client domain,
+  /// activity) entry.  Like offered_trust_level, it counts one table lookup
+  /// per entry read, added once per call.
+  double resource_domain_mean(std::size_t rd) const;
 
   /// Fills every entry uniformly from [A..E] (the paper's OTL ~ U[1,5]).
   void randomize(Rng& rng);

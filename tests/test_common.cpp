@@ -2,6 +2,8 @@
 // filesystem/retry helpers, units, and error handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <filesystem>
@@ -355,6 +357,28 @@ TEST(Stats, PercentileIsMonotoneInP) {
     EXPECT_GE(v, prev - 1e-12);
     prev = v;
   }
+}
+
+TEST(Stats, SortedPercentileMatchesPercentileBitForBit) {
+  // finish() in sim/trm_simulation.cpp sorts its flow times once and reads
+  // both percentiles through sorted_percentile; the answers must be the
+  // exact doubles percentile() gives on the unsorted sample.
+  Rng rng(2711);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> xs(static_cast<std::size_t>(rng.uniform_int(1, 100)));
+    for (double& x : xs) x = rng.normal(0, 1000);
+    if (trial % 4 == 0) xs[xs.size() / 2] = xs.front();  // ties
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 12.5, 50.0, 95.0, 99.9, 100.0,
+                           rng.uniform(0.0, 100.0)}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sorted_percentile(sorted, p)),
+                std::bit_cast<std::uint64_t>(percentile(xs, p)))
+          << "trial " << trial << " p " << p;
+    }
+  }
+  EXPECT_THROW(sorted_percentile({}, 50), PreconditionError);
+  EXPECT_THROW(sorted_percentile({2.0, 1.0}, 50), PreconditionError);
 }
 
 TEST(Stats, PairedComparisonBasics) {

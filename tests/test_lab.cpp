@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <system_error>
@@ -256,6 +258,50 @@ TEST(ManifestTest, CountsMustBeNonNegativeIntegersBelow2To64) {
                  PreconditionError)
         << value;
   }
+}
+
+TEST(ManifestTest, EverySeedRoundTripsExactlyThroughManifestAndJournal) {
+  // 2^53 + 1 is the first seed a double cannot hold; 2^64 - 1 is the
+  // largest.  Both must be recorded digit for digit, so a rerun from the
+  // recorded seed reproduces the manifest (spec_hash folds the seed).
+  for (const std::uint64_t seed :
+       {std::uint64_t{9007199254740993u}, ~std::uint64_t{0}}) {
+    const std::string dir =
+        temp_dir("exact_seed_" + std::to_string(seed % 1000));
+    std::filesystem::create_directories(dir);
+    EngineOptions options;
+    options.jobs = 1;
+    options.seed = seed;
+    options.journal_path = dir + "/sweep.journal";
+    const Manifest manifest = run_sweep(tiny_spec(), options).manifest;
+    ASSERT_EQ(manifest.seed, seed);
+
+    const std::string json = to_json(manifest);
+    EXPECT_NE(json.find("\"seed\":" + std::to_string(seed) + ","),
+              std::string::npos);
+    const Manifest parsed = parse_manifest(json);
+    EXPECT_EQ(parsed.seed, seed);
+    EXPECT_EQ(to_json(parsed), json);
+
+    const std::optional<Journal> journal = load_journal(options.journal_path);
+    ASSERT_TRUE(journal.has_value());
+    EXPECT_EQ(journal->seed, seed);
+    EXPECT_EQ(parse_journal(journal_to_jsonl(*journal)).seed, seed);
+
+    EngineOptions rerun;
+    rerun.jobs = 1;
+    rerun.seed = parsed.seed;
+    EXPECT_EQ(to_json(run_sweep(tiny_spec(), rerun).manifest), json);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(EngineTest, RejectsAUnitCountThatOverflows) {
+  // tiny_spec has 6 cells; 6 x (SIZE_MAX / 4) wraps a std::size_t.
+  EngineOptions options;
+  options.jobs = 1;
+  options.replications = std::numeric_limits<std::size_t>::max() / 4;
+  EXPECT_THROW((void)run_sweep(tiny_spec(), options), PreconditionError);
 }
 
 TEST(CompareTest, IdenticalManifestsPassAndPerturbedMeansFail) {
@@ -1030,6 +1076,24 @@ TEST(JsonInTest, ParsesScalarsContainersAndEscapes) {
   EXPECT_EQ(value.at("s").as_string(), "q\"A");
   EXPECT_TRUE(value.at("z").is_null());
   EXPECT_FALSE(value.has("missing"));
+}
+
+TEST(JsonInTest, PlainIntegersKeepTheirExactValue) {
+  const obs::JsonValue value = obs::parse_json(
+      "[9007199254740993,18446744073709551615,0,18446744073709551616,-1,"
+      "1.0,1e3]");
+  const std::vector<obs::JsonValue>& items = value.as_array();
+  EXPECT_EQ(items[0].exact_uint(), 9007199254740993u);
+  EXPECT_EQ(items[0].as_number(), 9007199254740992.0);  // nearest double
+  EXPECT_EQ(items[1].exact_uint(), 18446744073709551615u);
+  EXPECT_EQ(items[2].exact_uint(), 0u);
+  // 2^64 does not fit; a sign, a fraction or an exponent is not plain.
+  for (std::size_t i = 3; i < items.size(); ++i) {
+    EXPECT_EQ(items[i].exact_uint(), std::nullopt) << i;
+  }
+  EXPECT_EQ(items[3].as_number(), 18446744073709551616.0);
+  EXPECT_THROW((void)obs::parse_json("\"7\"").exact_uint(),
+               PreconditionError);
 }
 
 TEST(JsonInTest, RejectsMalformedDocuments) {

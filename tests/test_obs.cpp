@@ -13,6 +13,7 @@
 #include "common/thread_pool.hpp"
 #include "des/simulator.hpp"
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -183,6 +184,19 @@ TEST(Export, JsonContainsAllKinds) {
   EXPECT_NE(json.find("\"test.json_gauge\":7"), std::string::npos);
   EXPECT_NE(json.find("\"test.json_hist\""), std::string::npos);
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
+}
+
+TEST(Export, JsonNumberChecksMagnitudeBeforeConverting) {
+  // Integers below 9e15 print as plain digits, everything else with %.17g.
+  // Values beyond long long's range (2^63) must take the %.17g path without
+  // ever being converted to long long, which would be undefined behaviour.
+  EXPECT_EQ(detail::json_number(8999999999999999.0), "8999999999999999");
+  EXPECT_EQ(detail::json_number(9007199254740992.0), "9007199254740992");
+  EXPECT_EQ(detail::json_number(1e19), "1e+19");
+  EXPECT_EQ(detail::json_number(1e30), "1e+30");
+  EXPECT_EQ(detail::json_number(-1e300), "-1.0000000000000001e+300");
+  EXPECT_EQ(detail::json_number(-0.0), "0");
+  EXPECT_EQ(detail::json_number(2.5), "2.5");
 }
 
 TEST(Export, CsvRoundTrip) {
