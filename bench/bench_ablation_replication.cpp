@@ -4,10 +4,12 @@
 // staleness the closed loop actually tolerates.
 #include <iostream>
 
+#include "chaos/behavior.hpp"
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "sim/closed_loop.hpp"
+#include "sim/campaign.hpp"
+#include "sim/scenario_builder.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridtrust;
@@ -20,18 +22,15 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
-  Rng topo_rng(1);
-  grid::RandomGridParams params;
-  params.machines = 6;
-  params.min_resource_domains = 3;
-  params.max_resource_domains = 3;
-  params.min_client_domains = 2;
-  params.max_client_domains = 2;
-  const grid::GridSystem grid = grid::make_random_grid(params, topo_rng);
-  const std::vector<sim::DomainBehavior> rd_conduct = {
-      {5.6, 0.4}, {3.4, 0.4}, {1.6, 0.4}};
-  const std::vector<sim::DomainBehavior> cd_conduct = {{5.0, 0.3},
-                                                       {5.0, 0.3}};
+  const sim::Scenario scenario =
+      sim::ScenarioBuilder()
+          .machines(6)
+          .resource_domains(3, 3)
+          .client_domains(2, 2)
+          .with_adversaries({chaos::fixed_conduct(0, 5.6),
+                             chaos::fixed_conduct(1, 3.4),
+                             chaos::fixed_conduct(2, 1.6)})
+          .build();
 
   TextTable table({"replica staleness (rounds)", "early residual (r1-4)",
                    "late residual (last 4)", "rounds to residual < 0.2"});
@@ -44,14 +43,16 @@ int main(int argc, char** argv) {
     RunningStats late;
     RunningStats convergence_round;
     for (std::size_t seed = 0; seed < seeds; ++seed) {
-      sim::ClosedLoopConfig config;
+      sim::RoundConfig config;
       config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
       config.tasks_per_round =
           static_cast<std::size_t>(cli.get_int("tasks"));
       config.initial_level = trust::TrustLevel::kE;
+      config.honest_cd_mean = 5.0;
+      config.conduct_sigma = 0.4;
       config.replica_staleness_rounds = staleness;
-      const sim::ClosedLoopResult run = sim::run_closed_loop(
-          grid, rd_conduct, cd_conduct, config, Rng(seed + 100));
+      const sim::CampaignResult run =
+          sim::run_campaign(scenario, config, seed + 100);
       std::size_t converged = config.rounds;  // sentinel: never
       for (std::size_t i = 0; i < run.rounds.size(); ++i) {
         const double residual = run.rounds[i].mean_residual_exposure;

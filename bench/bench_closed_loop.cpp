@@ -5,9 +5,11 @@
 // keeps trusting it.
 #include <iostream>
 
+#include "chaos/behavior.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "sim/closed_loop.hpp"
+#include "sim/campaign.hpp"
+#include "sim/scenario_builder.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridtrust;
@@ -20,35 +22,33 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
-  // A fixed 3-RD Grid: exemplary, mediocre, and hostile resource domains.
-  Rng topo_rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  grid::RandomGridParams params;
-  params.machines = 6;
-  params.min_resource_domains = 3;
-  params.max_resource_domains = 3;
-  params.min_client_domains = 3;
-  params.max_client_domains = 3;
-  const grid::GridSystem grid = grid::make_random_grid(params, topo_rng);
-  const std::vector<sim::DomainBehavior> rd_conduct = {
-      {5.6, 0.4}, {3.4, 0.4}, {1.6, 0.4}};
-  const std::vector<sim::DomainBehavior> cd_conduct = {
-      {5.0, 0.3}, {5.0, 0.3}, {5.0, 0.3}};
+  // A 3-RD Grid: exemplary, mediocre, and hostile resource domains.
+  const sim::Scenario scenario =
+      sim::ScenarioBuilder()
+          .machines(6)
+          .resource_domains(3, 3)
+          .client_domains(3, 3)
+          .with_adversaries({chaos::fixed_conduct(0, 5.6),
+                             chaos::fixed_conduct(1, 3.4),
+                             chaos::fixed_conduct(2, 1.6)})
+          .build();
 
-  sim::ClosedLoopConfig config;
+  sim::RoundConfig config;
   config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
   config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
   // Optimistic prior: every domain starts fully trusted ("trust until
-  // proven otherwise"), so the adaptation is visible as misplacements drop.
+  // proven otherwise"), so the adaptation is visible as the residual
+  // exposure falls.
   config.initial_level = trust::TrustLevel::kE;
+  config.honest_cd_mean = 5.0;
+  config.conduct_sigma = 0.4;
 
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.adaptive = true;
-  const sim::ClosedLoopResult adaptive = sim::run_closed_loop(
-      grid, rd_conduct, cd_conduct, config,
-      Rng(static_cast<std::uint64_t>(cli.get_int("seed"))));
+  const sim::CampaignResult adaptive =
+      sim::run_campaign(scenario, config, seed);
   config.adaptive = false;
-  const sim::ClosedLoopResult frozen = sim::run_closed_loop(
-      grid, rd_conduct, cd_conduct, config,
-      Rng(static_cast<std::uint64_t>(cli.get_int("seed"))));
+  const sim::CampaignResult frozen = sim::run_campaign(scenario, config, seed);
 
   TextTable table({"round", "adaptive misplaced", "frozen misplaced",
                    "adaptive residual", "frozen residual",

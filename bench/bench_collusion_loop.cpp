@@ -1,8 +1,9 @@
 // Flagship composition bench: a collusion attack *inside* the scheduling
 // loop.  A hostile resource domain has an allied client domain that
-// whitewashes its conduct.  The table maintainer decides the outcome:
+// whitewashes its conduct (and badmouths every other resource domain).
+// The reputation backend decides the outcome:
 //
-//   Γ bridge (the paper's model): per-evaluator direct trust plus
+//   Γ (the paper's model): per-evaluator direct trust plus
 //   recommender-weighted reputation.  Honest client domains' own bad
 //   experiences dominate, and the colluder's praise is discounted by R.
 //
@@ -11,11 +12,16 @@
 //   level inflated for everyone, and sensitive work keeps landing there
 //   under-protected.
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "chaos/behavior.hpp"
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "sim/closed_loop.hpp"
+#include "sim/campaign.hpp"
+#include "sim/scenario_builder.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridtrust;
@@ -28,35 +34,42 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
-  Rng topo_rng(3);
-  grid::RandomGridParams params;
-  params.machines = 6;
-  params.min_resource_domains = 3;
-  params.max_resource_domains = 3;
-  params.min_client_domains = 3;
-  params.max_client_domains = 3;
-  const grid::GridSystem grid = grid::make_random_grid(params, topo_rng);
   // rd2 is hostile; cd2 is its ally and whitewashes it.
-  const std::vector<sim::DomainBehavior> rd_conduct = {
-      {5.6, 0.4}, {4.4, 0.4}, {1.6, 0.4}};
-  const std::vector<sim::DomainBehavior> cd_conduct = {
-      {5.0, 0.3}, {5.0, 0.3}, {5.0, 0.3}};
+  chaos::AdversarySpec hostile;
+  hostile.domain = 2;
+  hostile.kind = chaos::BehaviorKind::kCollusive;
+  hostile.malicious_mean = 1.6;
+  chaos::AdversarySpec ally;
+  ally.side = chaos::AdversarySide::kClientDomain;
+  ally.domain = 2;
+  ally.kind = chaos::BehaviorKind::kCollusive;
 
-  const auto run_arm = [&](sim::ClosedLoopConfig::TableMaintainer maintainer,
-                           bool with_collusion) {
+  const auto run_arm = [&](const std::string& backend, bool with_collusion) {
+    std::vector<chaos::AdversarySpec> domains = {
+        chaos::fixed_conduct(0, 5.6), chaos::fixed_conduct(1, 4.4),
+        chaos::fixed_conduct(2, 1.6)};
+    if (with_collusion) domains = {domains[0], domains[1], hostile, ally};
+    const sim::Scenario scenario = sim::ScenarioBuilder()
+                                       .machines(6)
+                                       .resource_domains(3, 3)
+                                       .client_domains(3, 3)
+                                       .with_adversaries(domains)
+                                       .with_reputation_backend(backend)
+                                       .build();
+    sim::RoundConfig config;
+    config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+    config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
+    config.initial_level = trust::TrustLevel::kE;
+    config.honest_cd_mean = 5.0;
+    config.conduct_sigma = 0.4;
+    config.engine.alliance_discount = 0.1;
+
     RunningStats tail_exposure;
     RunningStats hostile_level;
     const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
     for (std::size_t seed = 0; seed < seeds; ++seed) {
-      sim::ClosedLoopConfig config;
-      config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
-      config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
-      config.initial_level = trust::TrustLevel::kE;
-      config.maintainer = maintainer;
-      if (with_collusion) config.colluding_pairs.push_back({2, 2});
-      config.engine.alliance_discount = 0.1;
-      const sim::ClosedLoopResult run = sim::run_closed_loop(
-          grid, rd_conduct, cd_conduct, config, Rng(seed + 41));
+      const sim::CampaignResult run =
+          sim::run_campaign(scenario, config, seed + 41);
       for (std::size_t i = run.rounds.size() - 4; i < run.rounds.size(); ++i) {
         tail_exposure.add(run.rounds[i].mean_residual_exposure_honest);
       }
@@ -72,12 +85,11 @@ int main(int argc, char** argv) {
                    "hostile rd level (cd0 view)"});
   table.set_title(
       "Collusion attack in the scheduling loop (truth: hostile rd ~ 1.6)");
-  using M = sim::ClosedLoopConfig::TableMaintainer;
-  for (const auto& [maintainer, name] :
-       {std::pair{M::kGammaBridge, "Γ bridge (paper)"},
-        std::pair{M::kBetaPooled, "pooled Beta"}}) {
+  for (const auto& [backend, name] :
+       {std::pair{"gamma", "Γ bridge (paper)"},
+        std::pair{"beta", "pooled Beta"}}) {
     for (const bool collusion : {false, true}) {
-      const auto [exposure, level] = run_arm(maintainer, collusion);
+      const auto [exposure, level] = run_arm(backend, collusion);
       table.add_row({name, collusion ? "yes" : "no",
                      format_grouped(exposure, 3), format_grouped(level, 1)});
     }

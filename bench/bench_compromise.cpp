@@ -6,11 +6,16 @@
 // compromise round and decays as the agents re-learn.  The run also shows
 // the reverse: remediation restores the level, at the speed the trust model
 // allows ("trust is built on past experiences").
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
+#include "chaos/behavior.hpp"
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
-#include "sim/closed_loop.hpp"
+#include "sim/campaign.hpp"
+#include "sim/scenario_builder.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridtrust;
@@ -25,42 +30,52 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
-  Rng topo_rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  grid::RandomGridParams params;
-  params.machines = 6;
-  params.min_resource_domains = 3;
-  params.max_resource_domains = 3;
-  params.min_client_domains = 2;
-  params.max_client_domains = 2;
-  const grid::GridSystem grid = grid::make_random_grid(params, topo_rng);
-  const std::vector<sim::DomainBehavior> rd_conduct = {
-      {5.6, 0.3}, {4.5, 0.3}, {4.5, 0.3}};
-  const std::vector<sim::DomainBehavior> cd_conduct = {{5.0, 0.3},
-                                                       {5.0, 0.3}};
+  const auto rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+  const auto compromise =
+      static_cast<std::size_t>(cli.get_int("compromise-round"));
+  const auto remediation =
+      static_cast<std::size_t>(cli.get_int("remediation-round"));
+  GT_REQUIRE(compromise >= 1 && compromise < remediation &&
+                 compromise < rounds,
+             "need 1 <= --compromise-round < --remediation-round and "
+             "--compromise-round < --rounds");
+
+  // rd0 behaves for `compromise` rounds, then misbehaves until remediation
+  // (or to the end of the run): one on-off period.
+  chaos::AdversarySpec compromised;
+  compromised.domain = 0;
+  compromised.kind = chaos::BehaviorKind::kOscillating;
+  compromised.honest_mean = 5.6;
+  compromised.malicious_mean = 1.4;
+  compromised.rounds_on = compromise;
+  compromised.rounds_off = std::min(remediation, rounds) - compromise;
+  const sim::Scenario scenario =
+      sim::ScenarioBuilder()
+          .machines(6)
+          .resource_domains(3, 3)
+          .client_domains(2, 2)
+          .with_adversaries({compromised, chaos::fixed_conduct(1, 4.5),
+                             chaos::fixed_conduct(2, 4.5)})
+          .build();
 
   TextTable table({"round", "lr=0.1 exposure", "lr=0.3 exposure",
                    "lr=0.6 exposure", "lr=0.3 level of rd0"});
   table.set_title(
-      "Compromise at round " +
-      std::to_string(cli.get_int("compromise-round")) + ", remediation at " +
-      std::to_string(cli.get_int("remediation-round")) +
+      "Compromise at round " + std::to_string(compromise) +
+      ", remediation at " + std::to_string(remediation) +
       " (uncovered exposure by EWMA learning rate)");
 
   const std::vector<double> rates = {0.1, 0.3, 0.6};
-  std::vector<sim::ClosedLoopResult> runs;
+  std::vector<sim::CampaignResult> runs;
   for (const double lr : rates) {
-    sim::ClosedLoopConfig config;
-    config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+    sim::RoundConfig config;
+    config.rounds = rounds;
     config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
     config.initial_level = trust::TrustLevel::kE;
+    config.honest_cd_mean = 5.0;
     config.engine.learning_rate = lr;
-    config.conduct_changes.push_back(
-        {static_cast<std::size_t>(cli.get_int("compromise-round")), 0, 1.4});
-    config.conduct_changes.push_back(
-        {static_cast<std::size_t>(cli.get_int("remediation-round")), 0, 5.6});
-    runs.push_back(sim::run_closed_loop(
-        grid, rd_conduct, cd_conduct, config,
-        Rng(static_cast<std::uint64_t>(cli.get_int("seed")))));
+    runs.push_back(sim::run_campaign(
+        scenario, config, static_cast<std::uint64_t>(cli.get_int("seed"))));
   }
 
   // The lr=0.3 run's learned level for rd0 is recomputed per round from

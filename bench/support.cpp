@@ -46,12 +46,12 @@ sim::Scenario scenario_from_flags(const CliParser& cli) {
 }
 
 void add_lab_flags(CliParser& cli) {
-  cli.add_int("replications", 0,
-              "replication-count override (0 = the spec's own)");
-  cli.add_int("seed", 20020815, "master seed override");
-  cli.add_int("jobs", 0,
-              "worker threads (0 = shared hardware-sized pool, 1 = serial; "
-              "results are identical for every value)");
+  cli.add_uint("replications", 0,
+               "replication-count override (0 = the spec's own)");
+  cli.add_uint("seed", 20020815, "master seed override");
+  cli.add_uint("jobs", 0,
+               "worker threads (0 = shared hardware-sized pool, 1 = serial; "
+               "results are identical for every value)");
   cli.add_string("cache-dir", "", "result-cache directory (empty = off)");
   cli.add_string("out", "", "write the sweep manifest to this path");
   cli.add_flag("csv", "emit CSV rows instead of the ASCII table");
@@ -60,13 +60,11 @@ void add_lab_flags(CliParser& cli) {
 
 lab::EngineOptions engine_options_from_flags(const CliParser& cli) {
   lab::EngineOptions options;
-  options.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
-  if (cli.was_set("seed")) {
-    options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  }
-  if (cli.get_int("replications") > 0) {
+  options.jobs = static_cast<std::size_t>(cli.get_uint("jobs"));
+  if (cli.was_set("seed")) options.seed = cli.get_uint("seed");
+  if (cli.get_uint("replications") > 0) {
     options.replications =
-        static_cast<std::size_t>(cli.get_int("replications"));
+        static_cast<std::size_t>(cli.get_uint("replications"));
   }
   options.cache_dir = cli.get_string("cache-dir");
   return options;

@@ -6,9 +6,11 @@
 // with reality — and what a frozen deployment would keep silently risking.
 #include <iostream>
 
+#include "chaos/behavior.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "sim/closed_loop.hpp"
+#include "sim/campaign.hpp"
+#include "sim/scenario_builder.hpp"
 #include "trust/serialization.hpp"
 
 int main(int argc, char** argv) {
@@ -20,41 +22,38 @@ int main(int argc, char** argv) {
   cli.add_flag("dump-table", "print the learned table in its save format");
   cli.parse(argc, argv);
 
-  Rng topo_rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  grid::RandomGridParams params;
-  params.machines = 6;
-  params.min_resource_domains = 3;
-  params.max_resource_domains = 3;
-  params.min_client_domains = 2;
-  params.max_client_domains = 2;
-  const grid::GridSystem grid = grid::make_random_grid(params, topo_rng);
-
-  const std::vector<sim::DomainBehavior> rd_conduct = {
-      {5.7, 0.3},  // rd0: well-run HPC centre
-      {4.2, 0.5},  // rd1: decent but patchy
-      {1.5, 0.4},  // rd2: compromised
+  const double truth[3] = {
+      5.7,  // rd0: well-run HPC centre
+      4.2,  // rd1: decent but patchy
+      1.5,  // rd2: compromised
   };
-  const std::vector<sim::DomainBehavior> cd_conduct = {{5.2, 0.3},
-                                                       {5.2, 0.3}};
+  const sim::Scenario scenario =
+      sim::ScenarioBuilder()
+          .machines(6)
+          .resource_domains(3, 3)
+          .client_domains(2, 2)
+          .batch()
+          .heuristic("min-min")
+          .with_adversaries({chaos::fixed_conduct(0, truth[0]),
+                             chaos::fixed_conduct(1, truth[1]),
+                             chaos::fixed_conduct(2, truth[2])})
+          .build();
 
-  sim::ClosedLoopConfig config;
+  sim::RoundConfig config;
   config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
   config.tasks_per_round = 50;
   config.initial_level = trust::TrustLevel::kE;  // optimistic bootstrap
-  config.rms.mode = sim::SchedulingMode::kBatch;
-  config.rms.heuristic = "min-min";
 
-  const sim::ClosedLoopResult run = sim::run_closed_loop(
-      grid, rd_conduct, cd_conduct, config,
-      Rng(static_cast<std::uint64_t>(cli.get_int("seed"))));
+  const sim::CampaignResult run = sim::run_campaign(
+      scenario, config, static_cast<std::uint64_t>(cli.get_int("seed")));
 
   TextTable table({"round", "makespan (s)", "mean chosen TC",
                    "uncovered exposure", "table updates"});
   table.set_title("adaptive_rms: learning who to trust while scheduling");
-  for (const sim::RoundMetrics& round : run.rounds) {
+  for (const sim::CampaignRoundMetrics& round : run.rounds) {
     table.add_row({std::to_string(round.round + 1),
                    format_grouped(round.makespan, 1),
-                   format_grouped(round.mean_chosen_tc, 2),
+                   format_grouped(round.mean_table_trust_cost, 2),
                    format_grouped(round.mean_residual_exposure, 2),
                    std::to_string(round.table_updates)});
   }
@@ -65,8 +64,8 @@ int main(int argc, char** argv) {
     std::cout << "rd" << rd << "="
               << trust::to_string(run.final_table.get(0, rd, 0)) << " ";
   }
-  std::cout << " (truth ~ " << rd_conduct[0].mean << " / "
-            << rd_conduct[1].mean << " / " << rd_conduct[2].mean << ")\n"
+  std::cout << " (truth ~ " << truth[0] << " / " << truth[1] << " / "
+            << truth[2] << ")\n"
             << run.transactions
             << " transactions observed by the Fig. 1 agents.\n";
 

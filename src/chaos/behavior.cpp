@@ -31,6 +31,19 @@ const char* to_string(BehaviorKind kind) {
   return "?";
 }
 
+AdversarySpec fixed_conduct(std::size_t rd, double mean) {
+  AdversarySpec spec;
+  spec.domain = rd;
+  if (mean < 3.0) {
+    spec.kind = BehaviorKind::kMalicious;
+    spec.malicious_mean = mean;
+  } else {
+    spec.kind = BehaviorKind::kHonest;
+    spec.honest_mean = mean;
+  }
+  return spec;
+}
+
 void validate_spec(const AdversarySpec& spec) {
   GT_REQUIRE(on_trust_scale(spec.honest_mean),
              "adversary honest_mean must be on the [1, 6] trust scale");

@@ -129,6 +129,11 @@ class BehaviorEngine {
   std::vector<std::size_t> cd_index_;
 };
 
+/// A resource domain whose latent conduct stays at `mean` all run: kHonest
+/// at that mean, or kMalicious when the mean is below 3 (so the ground-truth
+/// adversary label agrees with the table's "believed bad" threshold).
+AdversarySpec fixed_conduct(std::size_t rd, double mean);
+
 /// Validates one spec's parameter ranges (means on [1, 6], phase lengths
 /// >= 1, threshold on [1, 6]); throws PreconditionError on violations.
 /// Exposed so CampaignConfig::validate can run without a drawn grid.

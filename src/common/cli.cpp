@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -15,6 +16,13 @@ void CliParser::add_int(const std::string& name, std::int64_t def,
                         const std::string& help) {
   GT_REQUIRE(!flags_.count(name), "duplicate flag: " + name);
   flags_[name] = Flag{Kind::kInt, help, std::to_string(def), false};
+  order_.push_back(name);
+}
+
+void CliParser::add_uint(const std::string& name, std::uint64_t def,
+                         const std::string& help) {
+  GT_REQUIRE(!flags_.count(name), "duplicate flag: " + name);
+  flags_[name] = Flag{Kind::kUint, help, std::to_string(def), false};
   order_.push_back(name);
 }
 
@@ -75,6 +83,7 @@ void CliParser::parse(int argc, const char* const* argv) {
   // Validate numeric flags eagerly so typos fail at startup.
   for (const auto& [name, flag] : flags_) {
     if (flag.kind == Kind::kInt) (void)get_int(name);
+    if (flag.kind == Kind::kUint) (void)get_uint(name);
     if (flag.kind == Kind::kDouble) (void)get_double(name);
   }
 }
@@ -98,6 +107,22 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   }
   GT_REQUIRE(pos == flag.value.size(),
              "flag --" + name + " is not an integer: " + flag.value);
+  return v;
+}
+
+std::uint64_t CliParser::get_uint(const std::string& name) const {
+  const std::string& text = find(name, Kind::kUint).value;
+  GT_REQUIRE(text.empty() || text.front() != '-',
+             "--" + name + " must be >= 0");
+  // Digits only: from_chars takes no sign, space or base prefix, and
+  // reports values past 2^64 - 1 as out of range.
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  GT_REQUIRE(ec != std::errc::result_out_of_range,
+             "flag --" + name + " exceeds 2^64 - 1: " + text);
+  GT_REQUIRE(ec == std::errc() && ptr == end,
+             "flag --" + name + " is not an unsigned integer: " + text);
   return v;
 }
 
@@ -138,6 +163,9 @@ std::string CliParser::usage() const {
     switch (flag.kind) {
       case Kind::kInt:
         os << "=<int>";
+        break;
+      case Kind::kUint:
+        os << "=<uint>";
         break;
       case Kind::kDouble:
         os << "=<num>";

@@ -28,6 +28,10 @@ class CliParser {
   /// Registers an integer flag with a default.
   void add_int(const std::string& name, std::int64_t def,
                const std::string& help);
+  /// Registers an unsigned integer flag over the whole uint64 range (seeds,
+  /// counts).  A negative value fails with "--<name> must be >= 0".
+  void add_uint(const std::string& name, std::uint64_t def,
+                const std::string& help);
   /// Registers a floating-point flag with a default.
   void add_double(const std::string& name, double def, const std::string& help);
   /// Registers a string flag with a default.
@@ -41,6 +45,7 @@ class CliParser {
   void parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
+  std::uint64_t get_uint(const std::string& name) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
   bool get_flag(const std::string& name) const;
@@ -52,7 +57,7 @@ class CliParser {
   std::string usage() const;
 
  private:
-  enum class Kind { kInt, kDouble, kString, kBool };
+  enum class Kind { kInt, kUint, kDouble, kString, kBool };
 
   struct Flag {
     Kind kind;

@@ -33,6 +33,7 @@
 // (including a blown failure budget), 4 = partial outcome (failures within
 // budget), 130 = interrupted.
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <iostream>
@@ -182,30 +183,29 @@ int cmd_run(const std::vector<std::string>& names, const CliParser& cli) {
     resolved.insert(resolved.end(), expansion.begin(), expansion.end());
   }
 
-  // Counts are cast to unsigned types, where a negative value would wrap.
-  const auto count = [&](const char* name) {
-    const std::int64_t value = cli.get_int(name);
-    GT_REQUIRE(value >= 0, std::string("--") + name + " must be >= 0");
-    return static_cast<std::uint64_t>(value);
-  };
   lab::EngineOptions options;
-  options.jobs = static_cast<std::size_t>(count("jobs"));
-  if (cli.was_set("seed")) options.seed = count("seed");
+  options.jobs = static_cast<std::size_t>(cli.get_uint("jobs"));
+  if (cli.was_set("seed")) options.seed = cli.get_uint("seed");
   if (cli.was_set("replications")) {
-    options.replications = static_cast<std::size_t>(count("replications"));
+    options.replications =
+        static_cast<std::size_t>(cli.get_uint("replications"));
   }
   options.cache_dir = cli.get_string("cache-dir");
 
   // Fault tolerance: N retries = N + 1 attempts; the CLI default budget is
   // fully tolerant (a long campaign should survive a sick cell), while
   // library callers keep the strict zero-budget default.
-  options.retry.max_attempts = static_cast<std::size_t>(count("retries")) + 1;
+  options.retry.max_attempts =
+      static_cast<std::size_t>(cli.get_uint("retries")) + 1;
   options.failure_budget_pct = cli.get_double("failure-budget");
   GT_REQUIRE(options.failure_budget_pct >= 0.0 &&
                  options.failure_budget_pct <= 100.0,
              "--failure-budget must be in [0, 100]");
   options.unit_deadline_seconds = cli.get_double("unit-deadline");
-  options.unit_sleep_ms = count("unit-sleep-ms");
+  GT_REQUIRE(std::isfinite(options.unit_deadline_seconds) &&
+                 options.unit_deadline_seconds >= 0.0,
+             "--unit-deadline must be a finite number >= 0 (0 = off)");
+  options.unit_sleep_ms = cli.get_uint("unit-sleep-ms");
   options.journal_path = cli.get_string("journal");
   options.resume_journal = cli.get_string("resume");
   if (!options.resume_journal.empty() && options.journal_path.empty()) {
@@ -335,19 +335,19 @@ int main(int argc, char** argv) {
                 "Runs, records, and gates the registered experiment sweeps "
                 "(commands: list, run <spec|suite>..., compare <manifest> "
                 "<baseline>)");
-  cli.add_int("jobs", 0,
-              "worker threads for run (0 = shared hardware-sized pool, "
-              "1 = serial)");
-  cli.add_int("seed", 20020815, "master seed override for run");
-  cli.add_int("replications", 0, "replication-count override for run");
+  cli.add_uint("jobs", 0,
+               "worker threads for run (0 = shared hardware-sized pool, "
+               "1 = serial)");
+  cli.add_uint("seed", 20020815, "master seed override for run");
+  cli.add_uint("replications", 0, "replication-count override for run");
   cli.add_string("out", "", "manifest output path (directory for suites)");
   cli.add_string("cache-dir", "", "result-cache directory (empty = off)");
   cli.add_double("tolerance", -1.0,
                  "compare gate in percent (negative = baseline's own)");
   cli.add_flag("csv", "emit CSV instead of ASCII tables");
-  cli.add_int("retries", 0,
-              "retries per failed (cell, replication) unit; retried units "
-              "re-run with their original seed");
+  cli.add_uint("retries", 0,
+               "retries per failed (cell, replication) unit; retried units "
+               "re-run with their original seed");
   cli.add_double("failure-budget", 100.0,
                  "percent of units allowed to fail before the run aborts "
                  "(0 = strict: rethrow the first failure)");
@@ -360,9 +360,9 @@ int main(int argc, char** argv) {
   cli.add_double("unit-deadline", 0.0,
                  "per-unit wall-clock deadline in seconds; overrunning "
                  "units are recorded as timeout failures (0 = off)");
-  cli.add_int("unit-sleep-ms", 0,
-              "test aid: artificial per-unit latency in milliseconds "
-              "(never changes results)");
+  cli.add_uint("unit-sleep-ms", 0,
+               "test aid: artificial per-unit latency in milliseconds "
+               "(never changes results)");
   cli.add_int("workers", 0,
               "worker *processes* for run (0 = off): shards cells across "
               "forked workers with crash-tolerant supervision; the merged "

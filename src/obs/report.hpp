@@ -1,10 +1,10 @@
 // Observability: the canonical run-result container.
 //
 // Every simulation entry point (sim::SimulationResult, sim::ComparisonResult,
-// sim::closed_loop::RoundMetrics, bench rows) can render itself as a
-// RunReport — an ordered name → scalar / series map with one JSON and one
-// CSV serialization — so downstream tooling consumes a single shape instead
-// of one hand-rolled struct per bench.
+// sim::CampaignResult, sim::MarketCampaignResult, bench rows) can render
+// itself as a RunReport — an ordered name → scalar / series map with one
+// JSON and one CSV serialization — so downstream tooling consumes a single
+// shape instead of one hand-rolled struct per bench.
 //
 // Naming mirrors the metrics convention: `<group>.<field>`, e.g.
 // "makespan", "aware.makespan_mean", "rounds.misplaced_fraction".

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,9 +66,9 @@ grid::GridSystem draw_grid(const Scenario& scenario, Rng topo_rng) {
 /// The closed loop both campaign kinds run (§2.2, Fig. 1).  It owns RNG
 /// substreams 0..3 (topology, workload, conduct, report faults), the grid,
 /// the adversaries, the faults on the DES clock, and the trust-level table
-/// with the agents that refresh it.  A round body calls its steps in order:
-/// start_round -> problem -> map or clear -> observe each placement ->
-/// refresh -> whitewash.
+/// with the agents that refresh it and its read replica.  A round body calls
+/// its steps in order: start_round -> problem -> map or clear -> observe
+/// each placement -> finish_round.
 class RoundLoop {
  public:
   /// This round's requests and their EEC matrix, perturbed by live faults.
@@ -119,6 +120,13 @@ class RoundLoop {
       }
     }
     for (std::size_t rd = 0; rd < n_rd_; ++rd) reset(rd);
+    if (config.replica_staleness_rounds > 0) {
+      // A lag of `rounds` already hides every refresh; a longer window
+      // would only cost memory.
+      replicas_.assign(
+          std::min(config.replica_staleness_rounds, config.rounds) + 1,
+          table_);
+    }
     // Register collusive alliances so the recommender factor R can discount
     // ballot-stuffed recommendations (§2.2's collusion defence).  Backends
     // without an alliance notion (beta, fuzzy) face the same forged stream
@@ -138,6 +146,11 @@ class RoundLoop {
   const grid::GridSystem& grid() const { return grid_; }
   const chaos::BehaviorEngine& behavior() const { return behavior_; }
   const trust::TrustLevelTable& table() const { return table_; }
+  /// The table the scheduler reads this round: the master, or with
+  /// replica staleness s the master as it stood s rounds ago.
+  const trust::TrustLevelTable& scheduler_table() const {
+    return replicas_.empty() ? table_ : replicas_[oldest_];
+  }
   const chaos::FaultInjector& injector() const { return injector_; }
   const trust::ReputationPolicy& policy() const { return bridge_.policy(); }
   const sched::SecurityCostModel& model() const { return model_; }
@@ -189,11 +202,12 @@ class RoundLoop {
     return out;
   }
 
-  /// Binds `eec` and the trust costs the current table implies into the
+  /// Binds `eec` and the trust costs scheduler_table() implies into the
   /// round's scheduling problem under the configured policy.
   sched::SchedulingProblem problem(const std::vector<grid::Request>& requests,
                                    sched::CostMatrix eec) const {
-    auto tc = sched::compute_trust_costs(grid_, requests, table_, model_);
+    auto tc =
+        sched::compute_trust_costs(grid_, requests, scheduler_table(), model_);
     std::vector<double> arrivals;
     arrivals.reserve(requests.size());
     for (const auto& r : requests) arrivals.push_back(r.arrival_time);
@@ -252,12 +266,27 @@ class RoundLoop {
     }
   }
 
-  /// Lets the agents refresh the table (adaptive runs only); returns the
-  /// number of entries updated.
-  std::size_t refresh() {
-    return config_.adaptive ? bridge_.refresh(table_, clock_) : 0;
+  /// Closes the round: the agents refresh the master table (adaptive runs
+  /// only), collapsed whitewashers reset, and the read replica ages one
+  /// round.  Returns the number of entries the refresh updated.
+  std::size_t finish_round() {
+    const std::size_t updates =
+        config_.adaptive ? bridge_.refresh(table_, clock_) : 0;
+    whitewash();
+    if (!replicas_.empty()) {
+      replicas_[oldest_] = table_;
+      oldest_ = (oldest_ + 1) % replicas_.size();
+    }
+    return updates;
   }
 
+  chaos::ChaosCounters counters() const {
+    chaos::ChaosCounters out = counters_;
+    out.faults_injected = injector_.faults_injected();
+    return out;
+  }
+
+ private:
   /// Whitewashing: a collapsed adversary resets its identity.  The backend
   /// forgets every record involving the domain and the table snaps back to
   /// the stranger level — the cost of admitting newcomers.
@@ -273,13 +302,6 @@ class RoundLoop {
     }
   }
 
-  chaos::ChaosCounters counters() const {
-    chaos::ChaosCounters out = counters_;
-    out.faults_injected = injector_.faults_injected();
-    return out;
-  }
-
- private:
   /// Sets every table entry of `rd` to the stranger level.
   void reset(std::size_t rd) {
     for (std::size_t cd = 0; cd < n_cd_; ++cd) {
@@ -300,6 +322,12 @@ class RoundLoop {
   const std::size_t n_act_;
   const chaos::BehaviorEngine behavior_;
   trust::TrustLevelTable table_;
+  /// Read-replica window (replica_staleness_rounds > 0 only), a ring of
+  /// the master as it stood after each of the last rounds: the oldest
+  /// entry is what the scheduler reads, and the next rotation overwrites
+  /// it with the master.
+  std::vector<trust::TrustLevelTable> replicas_;
+  std::size_t oldest_ = 0;
   trust::DomainTrustBridge bridge_;
   chaos::FaultInjector injector_;
   des::Simulator des_;
@@ -351,27 +379,59 @@ CampaignResult run_campaign(const Scenario& scenario,
     metrics.makespan = sim.makespan;
 
     // Price the placements against true conduct and against the table,
-    // then feed them to the trust machinery.
+    // measure what the table left uncovered, then feed the placements to
+    // the trust machinery.
     double true_tc_sum = 0.0;
     double table_tc_sum = 0.0;
+    double exposure_sum = 0.0;
+    double honest_exposure_sum = 0.0;
+    std::size_t honest = 0;
+    std::size_t sensitive = 0;
+    std::size_t misplaced = 0;
     for (std::size_t r = 0; r < requests.size(); ++r) {
+      const grid::Request& request = requests[r];
       const std::size_t m = sim.schedule.machine_of[r];
+      const grid::ResourceDomainId rd = loop.grid().domain_of_machine(m);
+      const double conduct = loop.rd_conduct_mean(rd, round);
+      const trust::TrustLevel required = request.effective_rtl();
       const trust::TrustLevel true_offered = trust::min_level(
-          trust::quantize_level(
-              loop.rd_conduct_mean(loop.grid().domain_of_machine(m), round)),
-          trust::kMaxOfferedLevel);
+          trust::quantize_level(conduct), trust::kMaxOfferedLevel);
       true_tc_sum += static_cast<double>(
-          loop.model().trust_cost(requests[r].effective_rtl(), true_offered));
+          loop.model().trust_cost(required, true_offered));
       table_tc_sum += static_cast<double>(problem.trust_cost(r, m));
-      loop.observe(round, requests[r], m);
-    }
-    metrics.mean_true_trust_cost =
-        true_tc_sum / static_cast<double>(requests.size());
-    metrics.mean_table_trust_cost =
-        table_tc_sum / static_cast<double>(requests.size());
 
-    metrics.table_updates = loop.refresh();
-    loop.whitewash();
+      const trust::TrustLevel believed =
+          loop.scheduler_table().offered_trust_level(
+              request.client_domain, rd,
+              std::span<const std::size_t>(request.activities));
+      const double residual = std::max(
+          0.0, static_cast<double>(trust::to_numeric(
+                   trust::min_level(required, believed))) -
+                   conduct);
+      exposure_sum += residual;
+      if (!loop.behavior().adversarial_cd(request.client_domain)) {
+        honest_exposure_sum += residual;
+        ++honest;
+      }
+      if (trust::to_numeric(required) >=
+          trust::to_numeric(trust::TrustLevel::kD)) {
+        ++sensitive;
+        if (conduct < 3.0) ++misplaced;
+      }
+      loop.observe(round, request, m);
+    }
+    const auto n = static_cast<double>(requests.size());
+    metrics.mean_true_trust_cost = true_tc_sum / n;
+    metrics.mean_table_trust_cost = table_tc_sum / n;
+    metrics.mean_residual_exposure = exposure_sum / n;
+    metrics.mean_residual_exposure_honest =
+        honest == 0 ? 0.0 : honest_exposure_sum / static_cast<double>(honest);
+    metrics.misplaced_sensitive_fraction =
+        sensitive == 0 ? 0.0
+                       : static_cast<double>(misplaced) /
+                             static_cast<double>(sensitive);
+
+    metrics.table_updates = loop.finish_round();
 
     // Misclassification against ground truth, post-refresh/reset.
     std::size_t wrong = 0;
@@ -496,8 +556,7 @@ MarketCampaignResult run_market_campaign(const Scenario& scenario,
         loop.observe(round, requests[r], cleared.outcomes[r].machine);
       }
     }
-    loop.refresh();
-    loop.whitewash();
+    loop.finish_round();
 
     // Reprice for the next round from realized utilization and the
     // refreshed table: trust moved, so trust-weighted rates move too.

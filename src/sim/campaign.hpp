@@ -66,6 +66,12 @@ struct RoundConfig {
   double honest_cd_mean = 5.2;
   /// Observation noise around the latent conduct mean.
   double conduct_sigma = 0.3;
+  /// Read-replica staleness: §3.1 lets domains read replicas of the central
+  /// table.  Round k's scheduler reads the table as it stood at the start
+  /// of round k - replica_staleness_rounds; the agents always write the
+  /// master, and misclassification, whitewashing and market prices read
+  /// the master too.  0 reads the master directly.
+  std::size_t replica_staleness_rounds = 0;
 };
 
 /// Per-round robustness metrics.
@@ -77,6 +83,20 @@ struct CampaignRoundMetrics {
   double mean_true_trust_cost = 0.0;
   /// Mean trust cost the table believed for the same placements.
   double mean_table_trust_cost = 0.0;
+  /// Mean residual (uncovered) exposure: the ETS supplement protects the
+  /// gap between the required level and the level the scheduler's table
+  /// offers, so whatever trust that table over-credits relative to the
+  /// hosting domain's true conduct mean c this round stays unprotected:
+  ///   residual = max(0, min(RTL, OTL_table) - c).
+  /// This is the quantity an adaptive table drives to zero.
+  double mean_residual_exposure = 0.0;
+  /// Residual exposure over requests from non-adversarial client domains
+  /// only; equals mean_residual_exposure when no client domain is
+  /// adversarial.  The victim-side metric for collusion studies.
+  double mean_residual_exposure_honest = 0.0;
+  /// Fraction of sensitive requests (effective RTL >= D) placed on a
+  /// resource domain whose true conduct mean this round is below 3.
+  double misplaced_sensitive_fraction = 0.0;
   /// Fraction of resource domains whose adversary label the table gets
   /// wrong (believed mean level < 3 <=> ground-truth adversarial).
   double misclassification_rate = 0.0;
@@ -115,6 +135,12 @@ struct CampaignResult {
 /// supplies adversaries and faults; empty means a clean control run), then
 /// maps `config.rounds` rounds with the scenario's TRMS heuristic.
 /// Identical (scenario, config, seed) triples produce identical results.
+///
+/// Trust-evolution studies describe their domains through the same inputs:
+/// a fixed conduct mean is chaos::fixed_conduct, a compromise with later
+/// remediation is a kOscillating spec, a colluding client domain is a
+/// kCollusive pair, and the pooled-Beta table is the "beta" reputation
+/// backend.
 CampaignResult run_campaign(const Scenario& scenario,
                             const RoundConfig& config, std::uint64_t seed);
 

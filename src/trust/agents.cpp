@@ -28,17 +28,6 @@ DomainTrustBridge::DomainTrustBridge(std::unique_ptr<ReputationPolicy> policy,
              "policy context count must match the activity count");
 }
 
-DomainTrustBridge::DomainTrustBridge(TrustEngineConfig config,
-                                     std::size_t client_domains,
-                                     std::size_t resource_domains,
-                                     std::size_t activities,
-                                     std::uint64_t min_transactions)
-    : DomainTrustBridge(
-          std::make_unique<GammaReputationPolicy>(
-              std::move(config), client_domains + resource_domains,
-              activities),
-          client_domains, resource_domains, activities, min_transactions) {}
-
 EntityId DomainTrustBridge::cd_entity(std::size_t cd) const {
   GT_REQUIRE(cd < n_cd_, "client domain index out of range");
   return static_cast<EntityId>(cd);

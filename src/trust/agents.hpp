@@ -41,13 +41,6 @@ class DomainTrustBridge {
                     std::size_t client_domains, std::size_t resource_domains,
                     std::size_t activities, std::uint64_t min_transactions = 3);
 
-  /// Legacy shim: constructs the paper's Γ engine as the backend.  Existing
-  /// call sites keep compiling; new code should pick a backend through
-  /// make_reputation_policy() and the policy constructor above.
-  DomainTrustBridge(TrustEngineConfig config, std::size_t client_domains,
-                    std::size_t resource_domains, std::size_t activities,
-                    std::uint64_t min_transactions = 3);
-
   std::size_t client_domains() const { return n_cd_; }
   std::size_t resource_domains() const { return n_rd_; }
 

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "trust/beta_reputation.hpp"
+#include "trust/beta_policy.hpp"
 #include "trust/fuzzy_policy.hpp"
 #include "trust/purging_policy.hpp"
 #include "trust/reputation_policy.hpp"

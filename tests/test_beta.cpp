@@ -1,58 +1,58 @@
-// Tests for the Beta reputation comparison engine.
+// Tests for the Beta reputation comparison backend.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "trust/beta_reputation.hpp"
+#include "trust/beta_policy.hpp"
 #include "trust/trust_engine.hpp"
 
 namespace gridtrust::trust {
 namespace {
 
 TEST(BetaReputation, StrangerGetsNeutralPrior) {
-  BetaReputationEngine engine({}, 4, 1);
-  EXPECT_NEAR(engine.reputation_score(1, 0, 0.0), 3.5, 1e-12);
-  EXPECT_FALSE(engine.evidence(1, 0, 0.0).has_value());
+  BetaReputationPolicy beta({}, 4, 1);
+  EXPECT_NEAR(beta.evaluate(0, 1, 0, 0.0), 3.5, 1e-12);
+  EXPECT_FALSE(beta.reputation_component(0, 1, 0, 0.0).has_value());
 }
 
 TEST(BetaReputation, EvidenceMapsScoresLinearly) {
-  BetaReputationEngine engine({}, 4, 1);
-  engine.record_transaction({0, 1, 0, 0.0, 6.0});  // fully positive
-  auto ev = engine.evidence(1, 0, 0.0);
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_NEAR(ev->first, 1.0, 1e-12);
-  EXPECT_NEAR(ev->second, 0.0, 1e-12);
-  engine.record_transaction({2, 1, 0, 1.0, 1.0});  // fully negative
-  ev = engine.evidence(1, 0, 1.0);
-  EXPECT_NEAR(ev->first, 1.0, 1e-12);
-  EXPECT_NEAR(ev->second, 1.0, 1e-12);
-  // Balanced evidence -> the midpoint.
-  EXPECT_NEAR(engine.reputation_score(1, 0, 1.0), 3.5, 1e-12);
+  BetaReputationPolicy beta({}, 4, 1);
+  beta.record_transaction({0, 1, 0, 0.0, 6.0});  // fully positive
+  // Evidence (1, 0): expectation (1 + 1) / (1 + 0 + 2) on the 1..6 scale.
+  auto pooled = beta.reputation_component(3, 1, 0, 0.0);
+  ASSERT_TRUE(pooled.has_value());
+  EXPECT_NEAR(*pooled, 1.0 + 5.0 * 2.0 / 3.0, 1e-12);
+  beta.record_transaction({2, 1, 0, 1.0, 1.0});  // fully negative
+  // Evidence (1, 1): balanced evidence -> the midpoint.
+  pooled = beta.reputation_component(3, 1, 0, 1.0);
+  ASSERT_TRUE(pooled.has_value());
+  EXPECT_NEAR(*pooled, 3.5, 1e-12);
+  EXPECT_NEAR(beta.evaluate(3, 1, 0, 1.0), 3.5, 1e-12);
 }
 
 TEST(BetaReputation, ConvergesToConductWithEvidence) {
-  BetaReputationEngine engine({}, 6, 1);
+  BetaReputationPolicy beta({}, 6, 1);
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
     const auto z = static_cast<EntityId>(1 + rng.index(5));
-    engine.record_transaction(
+    beta.record_transaction(
         {z, 0, 0, static_cast<double>(i), 5.0});  // consistent conduct 5.0
   }
-  EXPECT_NEAR(engine.reputation_score(0, 0, 500.0), 5.0, 0.1);
-  EXPECT_EQ(engine.offered_level(0, 0, 500.0), TrustLevel::kE);
+  EXPECT_NEAR(beta.evaluate(1, 0, 0, 500.0), 5.0, 0.1);
+  EXPECT_EQ(beta.offered_level(1, 0, 0, 500.0), TrustLevel::kE);
 }
 
 TEST(BetaReputation, ForgettingDiscountsOldEvidence) {
   BetaReputationConfig cfg;
   cfg.evidence_half_life = 10.0;
-  BetaReputationEngine engine(cfg, 3, 1);
+  BetaReputationPolicy beta(cfg, 3, 1);
   // Strongly positive history...
   for (int i = 0; i < 20; ++i) {
-    engine.record_transaction({1, 0, 0, static_cast<double>(i), 6.0});
+    beta.record_transaction({1, 0, 0, static_cast<double>(i), 6.0});
   }
-  const double fresh = engine.reputation_score(0, 0, 20.0);
+  const double fresh = beta.evaluate(2, 0, 0, 20.0);
   // ...mostly forgotten after ten half-lives.
-  const double stale = engine.reputation_score(0, 0, 120.0);
+  const double stale = beta.evaluate(2, 0, 0, 120.0);
   EXPECT_GT(fresh, 5.5);
   EXPECT_LT(stale, fresh);
   // Forgetting drifts toward the neutral prior, never below it for a
@@ -61,26 +61,26 @@ TEST(BetaReputation, ForgettingDiscountsOldEvidence) {
 }
 
 TEST(BetaReputation, ContextsAreIsolated) {
-  BetaReputationEngine engine({}, 3, 2);
-  engine.record_transaction({0, 1, 0, 0.0, 6.0});
-  EXPECT_GT(engine.reputation_score(1, 0, 0.0), 4.0);
-  EXPECT_NEAR(engine.reputation_score(1, 1, 0.0), 3.5, 1e-12);
+  BetaReputationPolicy beta({}, 3, 2);
+  beta.record_transaction({0, 1, 0, 0.0, 6.0});
+  EXPECT_GT(beta.evaluate(2, 1, 0, 0.0), 4.0);
+  EXPECT_NEAR(beta.evaluate(2, 1, 1, 0.0), 3.5, 1e-12);
 }
 
 TEST(BetaReputation, Validation) {
-  BetaReputationEngine engine({}, 3, 1);
-  EXPECT_THROW(engine.record_transaction({0, 0, 0, 0.0, 3.0}),
+  BetaReputationPolicy beta({}, 3, 1);
+  EXPECT_THROW(beta.record_transaction({0, 0, 0, 0.0, 3.0}),
                PreconditionError);
-  EXPECT_THROW(engine.record_transaction({0, 5, 0, 0.0, 3.0}),
+  EXPECT_THROW(beta.record_transaction({0, 5, 0, 0.0, 3.0}),
                PreconditionError);
-  EXPECT_THROW(engine.record_transaction({0, 1, 4, 0.0, 3.0}),
+  EXPECT_THROW(beta.record_transaction({0, 1, 4, 0.0, 3.0}),
                PreconditionError);
-  EXPECT_THROW(engine.record_transaction({0, 1, 0, 0.0, 0.5}),
+  EXPECT_THROW(beta.record_transaction({0, 1, 0, 0.0, 0.5}),
                PreconditionError);
-  engine.record_transaction({0, 1, 0, 5.0, 3.0});
-  EXPECT_THROW(engine.record_transaction({0, 1, 0, 1.0, 3.0}),
+  beta.record_transaction({0, 1, 0, 5.0, 3.0});
+  EXPECT_THROW(beta.record_transaction({0, 1, 0, 1.0, 3.0}),
                PreconditionError);  // time backwards
-  EXPECT_THROW(BetaReputationEngine({}, 0, 1), PreconditionError);
+  EXPECT_THROW(BetaReputationPolicy({}, 0, 1), PreconditionError);
 }
 
 TEST(BetaVsGamma, CollusionInflatesBetaButNotGamma) {
@@ -89,7 +89,7 @@ TEST(BetaVsGamma, CollusionInflatesBetaButNotGamma) {
   // evidence equally; the paper's Γ discounts allied recommenders via R.
   constexpr double kTruth = 1.5;
 
-  BetaReputationEngine beta({}, 10, 1);
+  BetaReputationPolicy beta({}, 10, 1);
   TrustEngineConfig cfg;
   cfg.alliance_discount = 0.1;
   TrustEngine gamma(cfg, 10, 1);
@@ -110,7 +110,7 @@ TEST(BetaVsGamma, CollusionInflatesBetaButNotGamma) {
       gamma.record_transaction({z, target, 0, clock, kTruth});
     }
   }
-  const double beta_view = beta.reputation_score(target, 0, clock);
+  const double beta_view = beta.evaluate(0, target, 0, clock);
   const double gamma_view = gamma.eventual_trust(0, target, 0, clock);
   // Beta is whitewashed well above the truth; Γ stays near it.
   EXPECT_GT(beta_view, kTruth + 1.5);
@@ -120,7 +120,7 @@ TEST(BetaVsGamma, CollusionInflatesBetaButNotGamma) {
 
 TEST(BetaVsGamma, AgreeWithoutCollusion) {
   // With honest unanimous witnesses both models land on the conduct.
-  BetaReputationEngine beta({}, 6, 1);
+  BetaReputationPolicy beta({}, 6, 1);
   TrustEngine gamma({}, 6, 1);
   double clock = 0.0;
   for (EntityId z : {1u, 2u, 3u, 4u}) {
@@ -130,7 +130,7 @@ TEST(BetaVsGamma, AgreeWithoutCollusion) {
       gamma.record_transaction({z, 0, 0, clock, 5.0});
     }
   }
-  EXPECT_NEAR(beta.reputation_score(0, 0, clock), 5.0, 0.4);
+  EXPECT_NEAR(beta.evaluate(5, 0, 0, clock), 5.0, 0.4);
   EXPECT_NEAR(gamma.eventual_trust(5, 0, 0, clock), 5.0, 0.4);
 }
 

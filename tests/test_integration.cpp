@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "common/stats.hpp"
 #include "net/transfer_model.hpp"
@@ -12,6 +13,7 @@
 #include "sfi/harness.hpp"
 #include "sim/experiment.hpp"
 #include "trust/agents.hpp"
+#include "trust/gamma_policy.hpp"
 #include "workload/heterogeneity.hpp"
 #include "workload/request_gen.hpp"
 
@@ -32,7 +34,10 @@ TEST(Integration, TrustAgentsFeedTheSchedulerTable) {
   builder.add_machine(gd1, "m1");
   const grid::GridSystem grid = builder.build();
 
-  trust::DomainTrustBridge bridge(trust::TrustEngineConfig{}, 2, 2, 8, /*min_transactions=*/2);
+  trust::DomainTrustBridge bridge(
+      std::make_unique<trust::GammaReputationPolicy>(
+          trust::TrustEngineConfig{}, 4, 8),
+      2, 2, 8, /*min_transactions=*/2);
   // Client domain 0 repeatedly observes good conduct at RD 0, bad at RD 1,
   // for activity 0; the resource side mirrors it.
   for (int i = 0; i < 5; ++i) {
@@ -73,7 +78,8 @@ TEST(Integration, TrustAgentsFeedTheSchedulerTable) {
 TEST(Integration, MisbehaviourErodesTrustOverTime) {
   trust::TrustEngineConfig cfg;
   cfg.learning_rate = 0.4;
-  trust::DomainTrustBridge bridge(cfg, 1, 1, 1, 1);
+  trust::DomainTrustBridge bridge(
+      std::make_unique<trust::GammaReputationPolicy>(cfg, 2, 1), 1, 1, 1, 1);
   trust::TrustLevelTable table(1, 1, 1);
   // Start trustworthy.
   for (int i = 0; i < 4; ++i) {

@@ -16,7 +16,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 
 namespace gridtrust::obs {
 namespace {
@@ -272,34 +271,6 @@ TEST(Report, MergePrefixesNames) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "tasks");
   EXPECT_EQ(names[1], "aware.makespan");
-}
-
-TEST(Trace, RecordsAndDrainsInOrder) {
-  TraceSink sink(16);
-  install_trace(&sink);
-  trace("first", 1.0);
-  trace("second", 2.0, 3.0);
-  install_trace(nullptr);
-  trace("after_uninstall");  // must be dropped
-  const std::vector<TraceEvent> events = sink.drain();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[0].name, "first");
-  EXPECT_DOUBLE_EQ(events[0].a, 1.0);
-  EXPECT_STREQ(events[1].name, "second");
-  EXPECT_DOUBLE_EQ(events[1].b, 3.0);
-  EXPECT_LE(events[0].wall_ns, events[1].wall_ns);
-}
-
-TEST(Trace, RingDropsOldestWhenFull) {
-  TraceSink sink(4);
-  install_trace(&sink);
-  for (int i = 0; i < 10; ++i) trace("evt", static_cast<double>(i));
-  install_trace(nullptr);
-  const std::vector<TraceEvent> events = sink.drain();
-  EXPECT_EQ(sink.recorded(), 10u);
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_DOUBLE_EQ(events.front().a, 6.0);
-  EXPECT_DOUBLE_EQ(events.back().a, 9.0);
 }
 
 // Golden check: after a cancellation-heavy run the published des.* metrics

@@ -447,35 +447,11 @@ TEST(GammaPolicy, RecommendationFoldsAsTheRecommendersOwnRecord) {
             via_rec.observation_count(0, 1, 0));
 }
 
-TEST(DomainTrustBridge, LegacyShimAndPolicyCtorAgree) {
-  const auto feed = [](DomainTrustBridge& bridge, TrustLevelTable& table) {
-    double t = 0.0;
-    for (int round = 0; round < 5; ++round) {
-      for (std::size_t cd = 0; cd < 2; ++cd) {
-        for (std::size_t rd = 0; rd < 2; ++rd) {
-          t += 1.0;
-          bridge.observe_client_side(cd, rd, 0, t, rd == 0 ? 5.5 : 2.0);
-          bridge.observe_resource_side(rd, cd, 0, t, 5.0);
-        }
-      }
-      bridge.refresh(table, t);
-    }
-  };
-  DomainTrustBridge legacy(TrustEngineConfig{}, 2, 2, 1);
-  DomainTrustBridge modern(
+TEST(DomainTrustBridge, EngineRequiresTheGammaBackend) {
+  DomainTrustBridge gamma_bridge(
       make_reputation_policy("gamma", params_for(4, 1)), 2, 2, 1);
-  TrustLevelTable legacy_table(2, 2, 1);
-  TrustLevelTable modern_table(2, 2, 1);
-  feed(legacy, legacy_table);
-  feed(modern, modern_table);
-  for (std::size_t cd = 0; cd < 2; ++cd) {
-    for (std::size_t rd = 0; rd < 2; ++rd) {
-      EXPECT_EQ(legacy_table.get(cd, rd, 0), modern_table.get(cd, rd, 0));
-    }
-  }
-  // engine() keeps working on the gamma backend, and refuses elsewhere.
-  EXPECT_EQ(legacy.engine().transaction_count(),
-            modern.engine().transaction_count());
+  gamma_bridge.observe_client_side(0, 0, 0, 1.0, 5.0);
+  EXPECT_EQ(gamma_bridge.engine().transaction_count(), 1u);
   DomainTrustBridge beta_bridge(make_reputation_policy("beta", params_for(4, 1)),
                                 2, 2, 1);
   EXPECT_THROW((void)beta_bridge.engine(), PreconditionError);

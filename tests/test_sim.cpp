@@ -1,10 +1,15 @@
-// Tests for the event-driven TRMS and the replicated experiment runner.
+// Tests for the event-driven TRMS, the replicated experiment runner, and
+// trust evolution in the campaign round loop.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "chaos/behavior.hpp"
 #include "common/error.hpp"
 #include "sched/executor.hpp"
+#include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
 #include "sim/trm_simulation.hpp"
@@ -221,6 +226,23 @@ TEST(Experiment, RequiresAtLeastOneReplication) {
   EXPECT_THROW(run_comparison(scenario, 0, 1), PreconditionError);
 }
 
+TEST(Experiment, DrawInstanceIsSelfConsistent) {
+  Scenario scenario;
+  scenario.tasks = 15;
+  Rng rng(5);
+  const Instance instance =
+      draw_instance(scenario, sched::trust_aware_policy(), rng);
+  EXPECT_EQ(instance.requests.size(), 15u);
+  EXPECT_EQ(instance.problem.num_requests(), 15u);
+  EXPECT_EQ(instance.problem.num_machines(), instance.grid.machines().size());
+  EXPECT_EQ(instance.table.client_domains(),
+            instance.grid.client_domains().size());
+  for (std::size_t r = 0; r < 15; ++r) {
+    EXPECT_EQ(instance.problem.arrival_time(r),
+              instance.requests[r].arrival_time);
+  }
+}
+
 TEST(Experiment, PaperTableLayout) {
   Scenario s50;
   s50.tasks = 50;
@@ -344,6 +366,288 @@ TEST(RunReport, ComparisonResultReportsBothArms) {
                    result.aware.makespan.mean());
   EXPECT_DOUBLE_EQ(report.get("improvement_pct"), result.improvement_pct);
   EXPECT_TRUE(report.has("makespan_cmp.ci95_diff"));
+}
+
+// ------------------------------------------------------------- closed loop
+//
+// Trust evolution in the scheduling loop (sim::run_campaign): 6 machines in
+// three resource domains of fixed conduct (exemplary, mediocre, hostile),
+// two honest client domains, and a table that starts fully trusted.
+
+std::vector<chaos::AdversarySpec> rd_conduct() {
+  return {chaos::fixed_conduct(0, 5.6), chaos::fixed_conduct(1, 3.4),
+          chaos::fixed_conduct(2, 1.6)};
+}
+
+/// 6 machines, 3 resource domains, 2 client domains.
+ScenarioBuilder three_rd_grid() {
+  ScenarioBuilder builder;
+  builder.machines(6).resource_domains(3, 3).client_domains(2, 2);
+  return builder;
+}
+
+Scenario loop_scenario(const std::vector<chaos::AdversarySpec>& domains,
+                       const std::string& backend = "gamma") {
+  return three_rd_grid()
+      .with_adversaries(domains)
+      .with_reputation_backend(backend)
+      .build();
+}
+
+RoundConfig small_config(bool adaptive) {
+  RoundConfig config;
+  config.rounds = 8;
+  config.tasks_per_round = 30;
+  config.adaptive = adaptive;
+  config.initial_level = trust::TrustLevel::kE;
+  config.honest_cd_mean = 5.0;
+  config.conduct_sigma = 0.3;
+  return config;
+}
+
+TEST(ClosedLoop, RunsAllRoundsAndCountsTransactions) {
+  const CampaignResult result =
+      run_campaign(loop_scenario(rd_conduct()), small_config(true), 1);
+  ASSERT_EQ(result.rounds.size(), 8u);
+  for (std::size_t i = 0; i < result.rounds.size(); ++i) {
+    EXPECT_EQ(result.rounds[i].round, i);
+    EXPECT_GT(result.rounds[i].makespan, 0.0);
+    EXPECT_GE(result.rounds[i].mean_table_trust_cost, 0.0);
+  }
+  // Every request generates one client-side and one resource-side
+  // transaction per activity; activities are 1-4 per request.
+  EXPECT_GE(result.transactions, 2u * 8u * 30u);
+  EXPECT_LE(result.transactions, 8u * 8u * 30u);
+}
+
+TEST(ClosedLoop, FrozenArmNeverTouchesTheTable) {
+  const CampaignResult result =
+      run_campaign(loop_scenario(rd_conduct()), small_config(false), 1);
+  EXPECT_EQ(result.transactions, 0u);
+  for (const CampaignRoundMetrics& round : result.rounds) {
+    EXPECT_EQ(round.table_updates, 0u);
+  }
+  for (std::size_t rd = 0; rd < 3; ++rd) {
+    EXPECT_EQ(result.final_table.get(0, rd, 0), trust::TrustLevel::kE);
+  }
+}
+
+TEST(ClosedLoop, LearnsTheConductOrdering) {
+  RoundConfig config = small_config(true);
+  config.rounds = 10;
+  const CampaignResult result =
+      run_campaign(loop_scenario(rd_conduct()), config, 2);
+  const int learned0 = trust::to_numeric(result.final_table.get(0, 0, 0));
+  const int learned1 = trust::to_numeric(result.final_table.get(0, 1, 0));
+  const int learned2 = trust::to_numeric(result.final_table.get(0, 2, 0));
+  EXPECT_GT(learned0, learned1);
+  EXPECT_GT(learned1, learned2);
+  EXPECT_GE(learned0, 5);  // exemplary stays E
+  EXPECT_LE(learned2, 2);  // hostile drops to A/B
+}
+
+TEST(ClosedLoop, AdaptationReducesResidualExposure) {
+  const Scenario scenario = loop_scenario(rd_conduct());
+  RoundConfig config = small_config(true);
+  config.rounds = 10;
+  const CampaignResult adaptive = run_campaign(scenario, config, 3);
+  config.adaptive = false;
+  const CampaignResult frozen = run_campaign(scenario, config, 3);
+  // Identical first round (the table has not been refreshed yet).
+  EXPECT_NEAR(adaptive.rounds[0].mean_residual_exposure,
+              frozen.rounds[0].mean_residual_exposure, 1e-9);
+  // From the back half of the run, adaptive residual exposure must sit far
+  // below frozen.
+  double adaptive_tail = 0.0;
+  double frozen_tail = 0.0;
+  for (std::size_t i = 5; i < 10; ++i) {
+    adaptive_tail += adaptive.rounds[i].mean_residual_exposure;
+    frozen_tail += frozen.rounds[i].mean_residual_exposure;
+  }
+  EXPECT_LT(adaptive_tail, 0.4 * frozen_tail);
+}
+
+TEST(ClosedLoop, ResidualExposureIsNonNegative) {
+  const CampaignResult result =
+      run_campaign(loop_scenario(rd_conduct()), small_config(true), 4);
+  for (const CampaignRoundMetrics& round : result.rounds) {
+    EXPECT_GE(round.mean_residual_exposure, 0.0);
+    EXPECT_GE(round.misplaced_sensitive_fraction, 0.0);
+    EXPECT_LE(round.misplaced_sensitive_fraction, 1.0);
+  }
+}
+
+TEST(ClosedLoop, DeterministicForSeed) {
+  const Scenario scenario = loop_scenario(rd_conduct());
+  RoundConfig config = small_config(true);
+  config.replica_staleness_rounds = 2;
+  const CampaignResult a = run_campaign(scenario, config, 9);
+  const CampaignResult b = run_campaign(scenario, config, 9);
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
+    EXPECT_EQ(a.rounds[i].makespan, b.rounds[i].makespan);
+    EXPECT_EQ(a.rounds[i].mean_residual_exposure,
+              b.rounds[i].mean_residual_exposure);
+  }
+}
+
+TEST(ClosedLoop, BatchModeWorksInTheLoop) {
+  const Scenario scenario = three_rd_grid()
+                                .batch()
+                                .heuristic("sufferage")
+                                .with_adversaries(rd_conduct())
+                                .build();
+  const RoundConfig config = small_config(true);
+  const CampaignResult result = run_campaign(scenario, config, 5);
+  EXPECT_EQ(result.rounds.size(), config.rounds);
+  EXPECT_GT(result.transactions, 0u);
+}
+
+TEST(ClosedLoop, ReplicaStalenessDelaysButDoesNotPreventAdaptation) {
+  const Scenario scenario = loop_scenario(rd_conduct());
+  RoundConfig config = small_config(true);
+  config.rounds = 12;
+  const CampaignResult fresh = run_campaign(scenario, config, 8);
+  config.replica_staleness_rounds = 4;
+  const CampaignResult stale = run_campaign(scenario, config, 8);
+  // Early rounds: the stale replica still shows the optimistic prior, so
+  // uncovered exposure stays high while the fresh reader has adapted.
+  double fresh_early = 0.0;
+  double stale_early = 0.0;
+  for (std::size_t i = 1; i < 4; ++i) {
+    fresh_early += fresh.rounds[i].mean_residual_exposure;
+    stale_early += stale.rounds[i].mean_residual_exposure;
+  }
+  EXPECT_LT(fresh_early, stale_early);
+  // Late rounds: both have converged.
+  EXPECT_LT(stale.rounds.back().mean_residual_exposure, 0.3);
+}
+
+TEST(ClosedLoop, CompromiseSpikesExposureAndRecovers) {
+  // rd0 behaves at 5.6 for six rounds, then is compromised (1.4) to the end.
+  chaos::AdversarySpec compromised;
+  compromised.domain = 0;
+  compromised.kind = chaos::BehaviorKind::kOscillating;
+  compromised.honest_mean = 5.6;
+  compromised.malicious_mean = 1.4;
+  compromised.rounds_on = 6;
+  compromised.rounds_off = 8;
+  RoundConfig config = small_config(true);
+  config.rounds = 14;
+  config.tasks_per_round = 50;
+  config.engine.learning_rate = 0.5;
+  const CampaignResult run = run_campaign(
+      loop_scenario({compromised, chaos::fixed_conduct(1, 4.5),
+                     chaos::fixed_conduct(2, 4.5)}),
+      config, 11);
+  // Pre-compromise steady state is near zero; the compromise round spikes;
+  // the tail recovers as the agents re-learn.
+  const double before = run.rounds[5].mean_residual_exposure;
+  const double spike = run.rounds[6].mean_residual_exposure;
+  const double after = run.rounds[13].mean_residual_exposure;
+  EXPECT_GT(spike, before + 0.3);
+  EXPECT_LT(after, spike * 0.5);
+  // The learned table reflects the compromise.
+  EXPECT_LE(trust::to_numeric(run.final_table.get(0, 0, 0)), 2);
+}
+
+TEST(ClosedLoop, BetaMaintainerAlsoLearnsWithoutCollusion) {
+  RoundConfig config = small_config(true);
+  config.rounds = 10;
+  const CampaignResult result =
+      run_campaign(loop_scenario(rd_conduct(), "beta"), config, 12);
+  // The pooled table still learns the conduct ordering honestly.
+  EXPECT_GT(trust::to_numeric(result.final_table.get(0, 0, 0)),
+            trust::to_numeric(result.final_table.get(0, 2, 0)));
+  EXPECT_LT(result.rounds.back().mean_residual_exposure, 0.35);
+  EXPECT_GT(result.transactions, 0u);
+}
+
+TEST(ClosedLoop, CollusionPoisonsBetaButNotGammaForHonestDomains) {
+  // rd2 is hostile and cd1 its ally: cd1 ballot-stuffs rd2 (and badmouths
+  // the other resource domains).
+  chaos::AdversarySpec hostile;
+  hostile.domain = 2;
+  hostile.kind = chaos::BehaviorKind::kCollusive;
+  hostile.malicious_mean = 1.6;
+  chaos::AdversarySpec ally;
+  ally.side = chaos::AdversarySide::kClientDomain;
+  ally.domain = 1;
+  ally.kind = chaos::BehaviorKind::kCollusive;
+  const std::vector<chaos::AdversarySpec> domains = {
+      chaos::fixed_conduct(0, 5.6), chaos::fixed_conduct(1, 4.4), hostile,
+      ally};
+  const auto run_with = [&](const std::string& backend) {
+    RoundConfig config = small_config(true);
+    config.rounds = 12;
+    config.tasks_per_round = 60;
+    config.engine.alliance_discount = 0.1;
+    return run_campaign(loop_scenario(domains, backend), config, 13);
+  };
+  const CampaignResult gamma = run_with("gamma");
+  const CampaignResult beta = run_with("beta");
+  // Honest cd0's view of the hostile rd2: Γ learns the truth; the pooled
+  // Beta view is inflated by the colluder.
+  EXPECT_LT(trust::to_numeric(gamma.final_table.get(0, 2, 0)),
+            trust::to_numeric(beta.final_table.get(0, 2, 0)));
+  // Honest-domain exposure in the tail: Γ below Beta.
+  double gamma_tail = 0.0;
+  double beta_tail = 0.0;
+  for (std::size_t i = 8; i < 12; ++i) {
+    gamma_tail += gamma.rounds[i].mean_residual_exposure_honest;
+    beta_tail += beta.rounds[i].mean_residual_exposure_honest;
+  }
+  EXPECT_LT(gamma_tail, beta_tail);
+}
+
+TEST(ClosedLoop, HonestExposureEqualsTotalWithoutCollusion) {
+  const CampaignResult result =
+      run_campaign(loop_scenario(rd_conduct()), small_config(true), 14);
+  for (const CampaignRoundMetrics& round : result.rounds) {
+    EXPECT_NEAR(round.mean_residual_exposure,
+                round.mean_residual_exposure_honest, 1e-12);
+  }
+}
+
+TEST(ClosedLoop, ConductChangeValidation) {
+  // A compromise is an oscillating spec; it must name a resource domain of
+  // the drawn grid, stay on the trust scale, and last at least one round.
+  chaos::AdversarySpec change;
+  change.kind = chaos::BehaviorKind::kOscillating;
+  change.malicious_mean = 3.0;
+  change.rounds_on = 2;
+  change.rounds_off = 6;
+  chaos::AdversarySpec unknown_rd = change;
+  unknown_rd.domain = 9;
+  EXPECT_THROW(run_campaign(loop_scenario({unknown_rd}), small_config(true), 1),
+               PreconditionError);
+  chaos::AdversarySpec off_scale = change;
+  off_scale.malicious_mean = 9.0;
+  EXPECT_THROW(run_campaign(loop_scenario({off_scale}), small_config(true), 1),
+               PreconditionError);
+  chaos::AdversarySpec no_phase = change;
+  no_phase.rounds_off = 0;
+  EXPECT_THROW(run_campaign(loop_scenario({no_phase}), small_config(true), 1),
+               PreconditionError);
+}
+
+TEST(ClosedLoop, CollusionPairValidation) {
+  chaos::AdversarySpec ally;
+  ally.side = chaos::AdversarySide::kClientDomain;
+  ally.domain = 9;
+  ally.kind = chaos::BehaviorKind::kCollusive;
+  EXPECT_THROW(run_campaign(loop_scenario({ally}), small_config(true), 1),
+               PreconditionError);
+}
+
+TEST(ClosedLoop, Validation) {
+  const Scenario scenario = loop_scenario(rd_conduct());
+  RoundConfig bad = small_config(true);
+  bad.rounds = 0;
+  EXPECT_THROW(run_campaign(scenario, bad, 1), PreconditionError);
+  bad = small_config(true);
+  bad.initial_level = trust::TrustLevel::kF;
+  EXPECT_THROW(run_campaign(scenario, bad, 1), PreconditionError);
 }
 
 }  // namespace

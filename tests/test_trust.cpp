@@ -2,6 +2,8 @@
 // decay functions, alliances, the §2.2 trust engine, and the Fig. 1 agents.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "trust/agents.hpp"
@@ -9,6 +11,7 @@
 #include "trust/alliance.hpp"
 #include "trust/decay.hpp"
 #include "trust/ets.hpp"
+#include "trust/gamma_policy.hpp"
 #include "trust/trust_engine.hpp"
 #include "trust/trust_level.hpp"
 #include "trust/trust_table.hpp"
@@ -520,8 +523,17 @@ TEST(TrustReport, SummaryTakesTheMinimumAcrossActivities) {
 
 // ---------------------------------------------------------------- agents
 
+/// Agents for `n_cd` CDs and `n_rd` RDs over the paper's Γ engine.
+DomainTrustBridge gamma_bridge(std::size_t n_cd, std::size_t n_rd,
+                               std::size_t activities,
+                               std::uint64_t min_transactions = 3) {
+  return DomainTrustBridge(std::make_unique<GammaReputationPolicy>(
+                               TrustEngineConfig{}, n_cd + n_rd, activities),
+                           n_cd, n_rd, activities, min_transactions);
+}
+
 TEST(DomainTrustBridge, EntityMappingIsDisjoint) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 3, 2, 4);
+  DomainTrustBridge bridge = gamma_bridge(3, 2, 4);
   EXPECT_EQ(bridge.cd_entity(0), 0u);
   EXPECT_EQ(bridge.cd_entity(2), 2u);
   EXPECT_EQ(bridge.rd_entity(0), 3u);
@@ -531,7 +543,7 @@ TEST(DomainTrustBridge, EntityMappingIsDisjoint) {
 }
 
 TEST(DomainTrustBridge, RefreshRequiresSignificantData) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 1, 1, 1, /*min_transactions=*/3);
+  DomainTrustBridge bridge = gamma_bridge(1, 1, 1, /*min_transactions=*/3);
   TrustLevelTable table(1, 1, 1);
   bridge.observe_client_side(0, 0, 0, 1.0, 5.0);
   bridge.observe_resource_side(0, 0, 0, 2.0, 5.0);
@@ -542,7 +554,7 @@ TEST(DomainTrustBridge, RefreshRequiresSignificantData) {
 }
 
 TEST(DomainTrustBridge, SymmetricQuantifierTakesTheMin) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 1, 1, 1, 1);
+  DomainTrustBridge bridge = gamma_bridge(1, 1, 1, 1);
   TrustLevelTable table(1, 1, 1);
   // Client thinks the resource is excellent; resource thinks the client is
   // poor -> the stored symmetric level must reflect the poor direction.
@@ -553,7 +565,7 @@ TEST(DomainTrustBridge, SymmetricQuantifierTakesTheMin) {
 }
 
 TEST(DomainTrustBridge, RefreshIsIdempotentWithoutNewData) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 2, 2, 2, 1);
+  DomainTrustBridge bridge = gamma_bridge(2, 2, 2, 1);
   TrustLevelTable table(2, 2, 2);
   bridge.observe_client_side(0, 1, 0, 1.0, 4.0);
   bridge.observe_resource_side(1, 0, 0, 1.0, 4.0);
@@ -562,9 +574,32 @@ TEST(DomainTrustBridge, RefreshIsIdempotentWithoutNewData) {
 }
 
 TEST(DomainTrustBridge, RefreshValidatesTableShape) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 2, 2, 2);
+  DomainTrustBridge bridge = gamma_bridge(2, 2, 2);
   TrustLevelTable wrong(1, 2, 2);
   EXPECT_THROW(bridge.refresh(wrong, 0.0), PreconditionError);
+}
+
+TEST(DomainTrustBridge, PerActivityConductIsLearnedPerToa) {
+  // One resource domain is excellent at activity 0 but hostile at activity
+  // 1; the per-ToA trust table must learn the difference.
+  DomainTrustBridge bridge = gamma_bridge(2, 1, 2);
+  TrustLevelTable table(2, 1, 2);
+  Rng rng(6);
+  double t = 0.0;
+  for (int i = 0; i < 12; ++i) {
+    for (std::size_t cd = 0; cd < 2; ++cd) {
+      t += 1.0;
+      bridge.observe_client_side(cd, 0, 0, t, 5.5 + rng.normal(0.0, 0.2));
+      bridge.observe_client_side(cd, 0, 1, t, 1.4 + rng.normal(0.0, 0.2));
+      bridge.observe_resource_side(0, cd, 0, t, 5.0);
+      bridge.observe_resource_side(0, cd, 1, t, 5.0);
+    }
+  }
+  EXPECT_GT(bridge.refresh(table, t), 0u);
+  for (std::size_t cd = 0; cd < 2; ++cd) {
+    EXPECT_GT(to_numeric(table.get(cd, 0, 0)), to_numeric(table.get(cd, 0, 1)));
+    EXPECT_LE(to_numeric(table.get(cd, 0, 1)), 2);
+  }
 }
 
 }  // namespace
