@@ -86,21 +86,21 @@ double mean_of(const std::vector<double>& xs) {
 }
 
 double percentile(std::vector<double> values, double p) {
-  std::sort(values.begin(), values.end());
-  return sorted_percentile(values, p);
-}
-
-double sorted_percentile(const std::vector<double>& sorted, double p) {
-  GT_REQUIRE(!sorted.empty(), "percentile requires a non-empty sample");
+  GT_REQUIRE(!values.empty(), "percentile requires a non-empty sample");
   GT_REQUIRE(p >= 0.0 && p <= 100.0, "percentile p must be in [0, 100]");
-  GT_REQUIRE(std::is_sorted(sorted.begin(), sorted.end()),
-             "sorted_percentile requires an ascending sample");
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  if (values.size() == 1) return values.front();
+  // Selects the two order statistics the rank falls between rather than
+  // sorting the whole sample: the nth element, then the least one above it.
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), nth, values.end());
+  const double below = *nth;
+  const double above = nth + 1 == values.end()
+                           ? below
+                           : *std::min_element(nth + 1, values.end());
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return below * (1.0 - frac) + above * frac;
 }
 
 PairedComparison paired_comparison(const std::vector<double>& base,

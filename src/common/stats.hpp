@@ -61,14 +61,12 @@ double percent_improvement(double base, double better);
 /// Mean of a sequence; requires non-empty input.
 double mean_of(const std::vector<double>& xs);
 
-/// Interpolated percentile of a sample (p in [0, 100]); the input vector is
-/// copied, so callers keep their ordering.  Requires a non-empty sample.
+/// Interpolated percentile of a sample (p in [0, 100]): the two order
+/// statistics around rank p/100 * (n - 1), blended linearly.  They are found
+/// by selection, not a full sort.  The input vector is taken by value, so
+/// callers keep their ordering (or move a sample they no longer need).
+/// Requires a non-empty sample.
 double percentile(std::vector<double> values, double p);
-
-/// percentile() of a sample that is already sorted ascending, without the
-/// copy and the sort: callers that need several percentiles of one sample
-/// sort it once.  Requires a non-empty, ascending sample.
-double sorted_percentile(const std::vector<double>& sorted, double p);
 
 /// Paired-sample summary for comparing two policies on common random numbers.
 struct PairedComparison {

@@ -64,9 +64,19 @@ void TextTable::add_separator() { rows_.push_back(Row{}); }
 
 namespace {
 
+/// Display width of a UTF-8 cell: its code points, i.e. the bytes that are
+/// not continuation bytes (10xxxxxx).  "Γ" is two bytes but one column.
+std::size_t display_width(const std::string& s) {
+  return static_cast<std::size_t>(
+      std::count_if(s.begin(), s.end(), [](char ch) {
+        return (static_cast<unsigned char>(ch) & 0xC0u) != 0x80u;
+      }));
+}
+
 std::string pad(const std::string& s, std::size_t width, Align align) {
-  if (s.size() >= width) return s;
-  const std::size_t total = width - s.size();
+  const std::size_t used = display_width(s);
+  if (used >= width) return s;
+  const std::size_t total = width - used;
   switch (align) {
     case Align::kLeft:
       return s + std::string(total, ' ');
@@ -85,11 +95,11 @@ std::string pad(const std::string& s, std::size_t width, Align align) {
 std::string TextTable::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    widths[c] = headers_[c].size();
+    widths[c] = display_width(headers_[c]);
   }
   for (const Row& row : rows_) {
     for (std::size_t c = 0; c < row.cells.size(); ++c) {
-      widths[c] = std::max(widths[c], row.cells[c].size());
+      widths[c] = std::max(widths[c], display_width(row.cells[c]));
     }
   }
 

@@ -7,19 +7,24 @@
 
 namespace gridtrust::obs {
 
+std::size_t RunReport::position(const std::string& name) const {
+  std::size_t at = 0;
+  while (at < entries_.size() && entries_[at].name != name) ++at;
+  return at;
+}
+
 RunReport::Entry& RunReport::upsert(const std::string& name) {
   GT_REQUIRE(!name.empty(), "report entry names must be non-empty");
-  const auto it = index_.find(name);
-  if (it != index_.end()) return entries_[it->second];
-  index_.emplace(name, entries_.size());
+  const std::size_t at = position(name);
+  if (at != entries_.size()) return entries_[at];
   entries_.push_back(Entry{name, false, 0.0, {}});
   return entries_.back();
 }
 
 const RunReport::Entry& RunReport::find(const std::string& name) const {
-  const auto it = index_.find(name);
-  GT_REQUIRE(it != index_.end(), "no report entry named " + name);
-  return entries_[it->second];
+  const std::size_t at = position(name);
+  GT_REQUIRE(at != entries_.size(), "no report entry named " + name);
+  return entries_[at];
 }
 
 RunReport& RunReport::set(const std::string& name, double value) {
@@ -45,7 +50,7 @@ RunReport& RunReport::set_series(const std::string& name,
 }
 
 bool RunReport::has(const std::string& name) const {
-  return index_.count(name) != 0;
+  return position(name) != entries_.size();
 }
 
 double RunReport::get(const std::string& name) const {

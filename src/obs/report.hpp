@@ -11,14 +11,16 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace gridtrust::obs {
 
 /// Ordered name → scalar / series map.  Insertion order is preserved in
-/// both serializations (reports read like the tables they replace).
+/// both serializations (reports read like the tables they replace).  A
+/// report holds a handful of entries (no catalog cell reports more than
+/// 15), so names are looked up by a linear scan rather than through an
+/// index that every per-unit report would have to build.
 class RunReport {
  public:
   /// Sets a scalar (overwrites an existing entry of either shape).
@@ -60,10 +62,11 @@ class RunReport {
     std::vector<double> series;
   };
   Entry& upsert(const std::string& name);
+  /// Position of the entry named `name`; entries_.size() when absent.
+  std::size_t position(const std::string& name) const;
   const Entry& find(const std::string& name) const;
 
   std::vector<Entry> entries_;
-  std::map<std::string, std::size_t> index_;
 };
 
 }  // namespace gridtrust::obs

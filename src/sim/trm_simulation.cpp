@@ -1,6 +1,8 @@
 #include "sim/trm_simulation.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
@@ -29,13 +31,28 @@ SimulationResult finish(const sched::SchedulingProblem& problem,
   for (std::size_t r = 0; r < problem.num_requests(); ++r) {
     flows.push_back(schedule.completion[r] - problem.arrival_time(r));
   }
-  std::sort(flows.begin(), flows.end());
-  out.flow_time_p50 = sorted_percentile(flows, 50.0);
-  out.flow_time_p95 = sorted_percentile(flows, 95.0);
+  out.flow_time_p50 = percentile(flows, 50.0);
+  out.flow_time_p95 = percentile(std::move(flows), 95.0);
   out.batches = batches;
   out.events = events;
   out.schedule = std::move(schedule);
   return out;
+}
+
+/// Request indices in the order the kernel runs their arrivals: by
+/// (arrival time, index).  SchedulingProblem does not require sorted
+/// arrivals, so the stable sort runs only when they are out of order.
+std::vector<std::size_t> arrival_order(
+    const sched::SchedulingProblem& problem) {
+  std::vector<std::size_t> order(problem.num_requests());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto earlier = [&problem](std::size_t a, std::size_t b) {
+    return problem.arrival_time(a) < problem.arrival_time(b);
+  };
+  if (!std::is_sorted(order.begin(), order.end(), earlier)) {
+    std::stable_sort(order.begin(), order.end(), earlier);
+  }
+  return order;
 }
 
 SimulationResult run_immediate_mode(const sched::SchedulingProblem& problem,
@@ -44,13 +61,23 @@ SimulationResult run_immediate_mode(const sched::SchedulingProblem& problem,
   heuristic->reset();
   des::Simulator sim;
   sched::Schedule schedule = sched::Schedule::for_problem(problem);
-  for (std::size_t r = 0; r < problem.num_requests(); ++r) {
-    sim.schedule_at(problem.arrival_time(r), [&, r] {
-      const std::size_t m = sched::select_machine_instrumented(
-          *heuristic, problem, r, sim.now(), schedule);
-      sched::commit_assignment(problem, r, m, sim.now(), schedule);
-    });
-  }
+  const std::vector<std::size_t> order = arrival_order(problem);
+  std::size_t next = 0;  // position in `order` of the pending arrival
+
+  // Each arrival maps its request and then schedules the next one, so the
+  // queue never holds more than one event.  Each event holds only a pointer
+  // to the handler, so scheduling never copies its closure onto the heap.
+  std::function<void()> arrive = [&] {
+    const std::size_t r = order[next++];
+    const std::size_t m = sched::select_machine_instrumented(
+        *heuristic, problem, r, sim.now(), schedule);
+    sched::commit_assignment(problem, r, m, sim.now(), schedule);
+    if (next < order.size()) {
+      sim.schedule_at(problem.arrival_time(order[next]),
+                      [&arrive] { arrive(); });
+    }
+  };
+  sim.schedule_at(problem.arrival_time(order.front()), [&arrive] { arrive(); });
   sim.run();
   return finish(problem, std::move(schedule), 0, sim.executed_events());
 }
@@ -62,31 +89,46 @@ SimulationResult run_batch_mode(const sched::SchedulingProblem& problem,
   auto heuristic = sched::make_batch(config.heuristic);
   des::Simulator sim;
   sched::Schedule schedule = sched::Schedule::for_problem(problem);
+  const std::vector<std::size_t> order = arrival_order(problem);
 
   std::vector<std::size_t> queue;  // arrived, not yet dispatched
-  std::size_t dispatched = 0;
+  std::size_t next = 0;            // position in `order` of the next arrival
   std::size_t batches = 0;
+  // The next meta-request formation tick: one interval after time 0, then
+  // one interval after each tick, until every request has been dispatched.
+  des::SimTime tick_at = sim.now() + config.batch_interval;
 
-  for (std::size_t r = 0; r < problem.num_requests(); ++r) {
-    sim.schedule_at(problem.arrival_time(r), [&, r] { queue.push_back(r); });
-  }
-
-  // Recurring meta-request formation tick; reschedules itself until every
-  // request has been dispatched.  Each event holds only a pointer to the
-  // tick, so rescheduling never copies its closure onto the heap.
-  std::function<void()> tick = [&] {
+  // Every event schedules the one that follows it in the kernel's
+  // (time, seq) order: the next arrival while it is due by the pending
+  // tick, otherwise the tick.  An arrival exactly on a tick therefore still
+  // joins that tick's batch, and the queue never holds more than one event.
+  std::function<void()> arrive;
+  std::function<void()> tick;
+  const auto schedule_next = [&] {
+    if (next < order.size() && problem.arrival_time(order[next]) <= tick_at) {
+      sim.schedule_at(problem.arrival_time(order[next]),
+                      [&arrive] { arrive(); });
+    } else {
+      sim.schedule_at(tick_at, [&tick] { tick(); });
+    }
+  };
+  arrive = [&] {
+    queue.push_back(order[next++]);
+    schedule_next();
+  };
+  tick = [&] {
     if (!queue.empty()) {
       ++batches;
-      dispatched += queue.size();
       sched::map_batch_instrumented(*heuristic, problem, queue, sim.now(),
                                     schedule);
       queue.clear();
     }
-    if (dispatched < problem.num_requests()) {
-      sim.schedule_in(config.batch_interval, [&tick] { tick(); });
+    if (next < order.size()) {  // requests still to arrive and dispatch
+      tick_at = sim.now() + config.batch_interval;
+      schedule_next();
     }
   };
-  sim.schedule_in(config.batch_interval, [&tick] { tick(); });
+  schedule_next();
 
   sim.run();
   return finish(problem, std::move(schedule), batches, sim.executed_events());

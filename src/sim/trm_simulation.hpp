@@ -5,6 +5,14 @@
 // arrival (MCT-style heuristics); in batch mode it collects arrivals into
 // meta-requests and maps one meta-request per batch interval (Min-min /
 // Sufferage-style heuristics).
+//
+// Ordering contract.  Arrivals run in (arrival time, request index) order;
+// the problem's arrival times need not be sorted.  Batch ticks fire at
+// interval, interval + interval, ... (each one interval after the last, as
+// doubles) until every request has been dispatched, and an arrival at
+// exactly a tick's time joins that tick's batch.  The kernel holds one
+// pending event at a time: each arrival or tick schedules the event that
+// follows it in this order, so a run never grows the event queue.
 #pragma once
 
 #include <cstdint>
