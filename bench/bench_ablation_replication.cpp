@@ -16,9 +16,9 @@ int main(int argc, char** argv) {
 
   CliParser cli("bench_ablation_replication",
                 "Trust-table replica staleness in the closed loop");
-  cli.add_int("rounds", 16, "scheduling rounds");
-  cli.add_int("tasks", 50, "tasks per round");
-  cli.add_int("seeds", 10, "independent runs to average");
+  cli.add_uint("rounds", 16, "scheduling rounds");
+  cli.add_uint("tasks", 50, "tasks per round");
+  cli.add_uint("seeds", 10, "independent runs to average");
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
@@ -37,16 +37,16 @@ int main(int argc, char** argv) {
   table.set_title(
       "Replica staleness vs uncovered exposure (adaptive closed loop, "
       "optimistic start)");
-  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
+  const auto seeds = static_cast<std::size_t>(cli.get_uint("seeds"));
   for (const std::size_t staleness : {0u, 1u, 2u, 4u, 8u}) {
     RunningStats early;
     RunningStats late;
     RunningStats convergence_round;
     for (std::size_t seed = 0; seed < seeds; ++seed) {
       sim::RoundConfig config;
-      config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+      config.rounds = static_cast<std::size_t>(cli.get_uint("rounds"));
       config.tasks_per_round =
-          static_cast<std::size_t>(cli.get_int("tasks"));
+          static_cast<std::size_t>(cli.get_uint("tasks"));
       config.initial_level = trust::TrustLevel::kE;
       config.honest_cd_mean = 5.0;
       config.conduct_sigma = 0.4;

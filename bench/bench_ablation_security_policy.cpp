@@ -8,6 +8,8 @@
 //   aware            decide+pay TC-priced              (the paper treatment)
 #include <iostream>
 
+#include "common/stats.hpp"
+#include "common/table.hpp"
 #include "support.hpp"
 
 int main(int argc, char** argv) {
@@ -15,14 +17,14 @@ int main(int argc, char** argv) {
   CliParser cli("bench_ablation_security_policy",
                 "Separates cheaper-security from smarter-placement gains");
   bench::add_common_flags(cli);
-  cli.add_int("tasks", 50, "tasks per replication");
+  cli.add_uint("tasks", 50, "tasks per replication");
   cli.parse(argc, argv);
   const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const Rng master(static_cast<std::uint64_t>(cli.get_int("seed")));
+      static_cast<std::size_t>(cli.get_uint("replications"));
+  const Rng master(cli.get_uint("seed"));
 
   sim::Scenario scenario = bench::scenario_from_flags(cli);
-  scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
+  scenario.tasks = static_cast<std::size_t>(cli.get_uint("tasks"));
 
   const std::vector<sched::SchedulingPolicy> policies = {
       sched::trust_unaware_policy(),

@@ -3,8 +3,12 @@
 // unaware vs trust-aware, across all four heterogeneity x consistency
 // classes.  The paper evaluates only MCT, Min-min, and Sufferage; this
 // bench shows the trust integration composes with the whole family.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
+#include "common/table.hpp"
+#include "sched/heuristic.hpp"
 #include "support.hpp"
 #include "workload/heterogeneity.hpp"
 
@@ -13,19 +17,11 @@ int main(int argc, char** argv) {
   CliParser cli("bench_all_heuristics",
                 "Trust-aware vs unaware across the full heuristic suite");
   bench::add_common_flags(cli);
-  cli.add_int("tasks", 50, "tasks per replication");
+  cli.add_uint("tasks", 50, "tasks per replication");
   cli.parse(argc, argv);
-  const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-
-  TextTable table({"heuristic", "mode", "class", "unaware makespan",
-                   "aware makespan", "improvement", "95% CI (diff)"});
-  table.set_title(
-      "Full heuristic suite, trust-unaware vs trust-aware (mean over " +
-      std::to_string(replications) + " replications)");
 
   std::vector<workload::HeterogeneityParams> classes;
+  lab::Axis class_axis{"class", {}};
   for (const auto consistency :
        {workload::Consistency::kInconsistent,
         workload::Consistency::kConsistent}) {
@@ -36,35 +32,56 @@ int main(int argc, char** argv) {
       params.task = task;
       params.machine = workload::Heterogeneity::kLow;
       classes.push_back(params);
+      class_axis.values.emplace_back(workload::to_string(params));
     }
   }
-
-  const auto run_row = [&](const std::string& name, bool batch,
-                           const workload::HeterogeneityParams& klass) {
-    sim::Scenario scenario = bench::scenario_from_flags(cli);
-    scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
-    scenario.heterogeneity = klass;
-    scenario.rms.heuristic = name;
-    scenario.rms.mode =
-        batch ? sim::SchedulingMode::kBatch : sim::SchedulingMode::kImmediate;
-    const sim::ComparisonResult r =
-        sim::run_comparison(scenario, replications, seed);
-    table.add_row({name, batch ? "batch" : "immediate",
-                   workload::to_string(klass),
-                   format_grouped(r.unaware.makespan.mean(), 1),
-                   format_grouped(r.aware.makespan.mean(), 1),
-                   format_percent(r.improvement_pct),
-                   format_grouped(r.makespan_cmp.ci95_diff, 1)});
+  // Immediate-mode heuristics first, then the batch mappers.
+  const std::vector<std::string> batch = sched::batch_heuristic_names();
+  lab::Axis heuristic_axis{"heuristic", {}};
+  for (const std::string& name : sched::immediate_heuristic_names()) {
+    heuristic_axis.values.emplace_back(name);
+  }
+  for (const std::string& name : batch) {
+    heuristic_axis.values.emplace_back(name);
+  }
+  const auto is_batch = [&batch](const std::string& name) {
+    return std::find(batch.begin(), batch.end(), name) != batch.end();
   };
 
-  for (const auto& klass : classes) {
-    for (const std::string& name : sched::immediate_heuristic_names()) {
-      run_row(name, false, klass);
-    }
-    for (const std::string& name : sched::batch_heuristic_names()) {
-      run_row(name, true, klass);
-    }
-    table.add_separator();
+  sim::Scenario base = bench::scenario_from_flags(cli);
+  base.tasks = static_cast<std::size_t>(cli.get_uint("tasks"));
+  const lab::SweepRun run = lab::run_sweep(bench::paired_spec(
+      cli, "all_heuristics", {class_axis, heuristic_axis},
+      [&](const lab::Cell& cell) {
+        sim::Scenario scenario = base;
+        for (const workload::HeterogeneityParams& klass : classes) {
+          if (workload::to_string(klass) == cell.text("class")) {
+            scenario.heterogeneity = klass;
+          }
+        }
+        scenario.rms.heuristic = cell.text("heuristic");
+        scenario.rms.mode = is_batch(scenario.rms.heuristic)
+                                ? sim::SchedulingMode::kBatch
+                                : sim::SchedulingMode::kImmediate;
+        return scenario;
+      }));
+
+  TextTable table({"heuristic", "mode", "class", "unaware makespan",
+                   "aware makespan", "improvement", "95% CI (diff)"});
+  table.set_title(
+      "Full heuristic suite, trust-unaware vs trust-aware (mean over " +
+      std::to_string(run.manifest.replications) + " replications)");
+  const std::size_t per_class = heuristic_axis.values.size();
+  for (const lab::ManifestCell& cell : run.manifest.cells) {
+    if (cell.index > 0 && cell.index % per_class == 0) table.add_separator();
+    const std::string& klass = cell.params[0].second.text();
+    const std::string& name = cell.params[1].second.text();
+    table.add_row(
+        {name, is_batch(name) ? "batch" : "immediate", klass,
+         format_grouped(bench::metric(cell, "unaware.makespan").mean, 1),
+         format_grouped(bench::metric(cell, "aware.makespan").mean, 1),
+         format_percent(bench::metric(cell, "improvement_pct").mean),
+         format_grouped(bench::metric(cell, "makespan_diff").ci95, 1)});
   }
   std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());
   return 0;

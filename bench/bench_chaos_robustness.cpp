@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
   bench::add_lab_flags(cli);
   cli.parse(argc, argv);
 
-  const lab::SweepRun run =
-      bench::run_catalog_spec(cli, "chaos_robustness", /*paper_layout=*/false);
+  const lab::SweepRun run = bench::run_catalog_spec(cli, "chaos_robustness");
 
   // Index the manifest: (heuristic, malicious %, aware arm) -> steady true
   // trust cost, then check the acceptance inequality per heuristic and

@@ -16,9 +16,9 @@ int main(int argc, char** argv) {
 
   CliParser cli("bench_closed_loop",
                 "Adaptive vs frozen trust tables in the scheduling loop");
-  cli.add_int("rounds", 16, "scheduling rounds");
-  cli.add_int("tasks", 40, "tasks per round");
-  cli.add_int("seed", 2002, "random seed");
+  cli.add_uint("rounds", 16, "scheduling rounds");
+  cli.add_uint("tasks", 40, "tasks per round");
+  cli.add_uint("seed", 2002, "random seed");
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
           .build();
 
   sim::RoundConfig config;
-  config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
-  config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
+  config.rounds = static_cast<std::size_t>(cli.get_uint("rounds"));
+  config.tasks_per_round = static_cast<std::size_t>(cli.get_uint("tasks"));
   // Optimistic prior: every domain starts fully trusted ("trust until
   // proven otherwise"), so the adaptation is visible as the residual
   // exposure falls.
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   config.honest_cd_mean = 5.0;
   config.conduct_sigma = 0.4;
 
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_uint("seed");
   config.adaptive = true;
   const sim::CampaignResult adaptive =
       sim::run_campaign(scenario, config, seed);

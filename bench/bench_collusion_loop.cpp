@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
 
   CliParser cli("bench_collusion_loop",
                 "Collusion attack in the closed loop: Γ+R vs pooled Beta");
-  cli.add_int("rounds", 14, "scheduling rounds");
-  cli.add_int("tasks", 60, "tasks per round");
-  cli.add_int("seeds", 8, "independent runs to average");
+  cli.add_uint("rounds", 14, "scheduling rounds");
+  cli.add_uint("tasks", 60, "tasks per round");
+  cli.add_uint("seeds", 8, "independent runs to average");
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
                                        .with_reputation_backend(backend)
                                        .build();
     sim::RoundConfig config;
-    config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
-    config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
+    config.rounds = static_cast<std::size_t>(cli.get_uint("rounds"));
+    config.tasks_per_round = static_cast<std::size_t>(cli.get_uint("tasks"));
     config.initial_level = trust::TrustLevel::kE;
     config.honest_cd_mean = 5.0;
     config.conduct_sigma = 0.4;
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
     RunningStats tail_exposure;
     RunningStats hostile_level;
-    const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
+    const auto seeds = static_cast<std::size_t>(cli.get_uint("seeds"));
     for (std::size_t seed = 0; seed < seeds; ++seed) {
       const sim::CampaignResult run =
           sim::run_campaign(scenario, config, seed + 41);

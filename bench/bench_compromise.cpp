@@ -22,19 +22,19 @@ int main(int argc, char** argv) {
 
   CliParser cli("bench_compromise",
                 "Compromise detection speed vs trust learning rate");
-  cli.add_int("rounds", 18, "scheduling rounds");
-  cli.add_int("tasks", 60, "tasks per round");
-  cli.add_int("compromise-round", 6, "round at which rd0 is compromised");
-  cli.add_int("remediation-round", 12, "round at which rd0 is remediated");
-  cli.add_int("seed", 7, "random seed");
+  cli.add_uint("rounds", 18, "scheduling rounds");
+  cli.add_uint("tasks", 60, "tasks per round");
+  cli.add_uint("compromise-round", 6, "round at which rd0 is compromised");
+  cli.add_uint("remediation-round", 12, "round at which rd0 is remediated");
+  cli.add_uint("seed", 7, "random seed");
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
-  const auto rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+  const auto rounds = static_cast<std::size_t>(cli.get_uint("rounds"));
   const auto compromise =
-      static_cast<std::size_t>(cli.get_int("compromise-round"));
+      static_cast<std::size_t>(cli.get_uint("compromise-round"));
   const auto remediation =
-      static_cast<std::size_t>(cli.get_int("remediation-round"));
+      static_cast<std::size_t>(cli.get_uint("remediation-round"));
   GT_REQUIRE(compromise >= 1 && compromise < remediation &&
                  compromise < rounds,
              "need 1 <= --compromise-round < --remediation-round and "
@@ -70,12 +70,12 @@ int main(int argc, char** argv) {
   for (const double lr : rates) {
     sim::RoundConfig config;
     config.rounds = rounds;
-    config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
+    config.tasks_per_round = static_cast<std::size_t>(cli.get_uint("tasks"));
     config.initial_level = trust::TrustLevel::kE;
     config.honest_cd_mean = 5.0;
     config.engine.learning_rate = lr;
     runs.push_back(sim::run_campaign(
-        scenario, config, static_cast<std::uint64_t>(cli.get_int("seed"))));
+        scenario, config, cli.get_uint("seed")));
   }
 
   // The lr=0.3 run's learned level for rd0 is recomputed per round from

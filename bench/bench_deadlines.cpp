@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
   bench::add_lab_flags(cli);
   cli.parse(argc, argv);
 
-  const lab::SweepRun run =
-      bench::run_catalog_spec(cli, "deadlines", /*paper_layout=*/false);
+  const lab::SweepRun run = bench::run_catalog_spec(cli, "deadlines");
 
   bool pass = true;
   std::vector<std::string> violations;

@@ -3,6 +3,8 @@
 // availability vs the central RMS, across sync intervals.
 #include <iostream>
 
+#include "common/stats.hpp"
+#include "common/table.hpp"
 #include "support.hpp"
 #include "sim/distributed.hpp"
 
@@ -11,22 +13,22 @@ int main(int argc, char** argv) {
   CliParser cli("bench_distributed",
                 "Central vs per-domain schedulers with stale views");
   bench::add_common_flags(cli);
-  cli.add_int("tasks", 100, "tasks per replication");
+  cli.add_uint("tasks", 100, "tasks per replication");
   cli.parse(argc, argv);
   const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const Rng master(static_cast<std::uint64_t>(cli.get_int("seed")));
+      static_cast<std::size_t>(cli.get_uint("replications"));
+  const Rng master(cli.get_uint("seed"));
 
   TextTable table({"scheduler", "sync interval (s)", "makespan",
                    "vs central", "mean decision error (s)"});
   table.set_title("Central vs distributed trust-aware MCT (" +
-                  std::to_string(cli.get_int("tasks")) + " tasks)");
+                  std::to_string(cli.get_uint("tasks")) + " tasks)");
 
   // The same scenario is redrawn per arm from per-replication RNG streams
   // (common random numbers across all arms).
   const auto build = [&] {
     sim::Scenario scenario = bench::scenario_from_flags(cli);
-    scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
+    scenario.tasks = static_cast<std::size_t>(cli.get_uint("tasks"));
     return scenario;
   };
 

@@ -5,6 +5,7 @@
 // #RD ~ U[1,4].
 #include <iostream>
 
+#include "common/table.hpp"
 #include "support.hpp"
 
 int main(int argc, char** argv) {
@@ -12,28 +13,35 @@ int main(int argc, char** argv) {
   CliParser cli("bench_diversity",
                 "Improvement vs number of resource domains (5 machines)");
   bench::add_common_flags(cli);
-  cli.add_int("tasks", 50, "tasks per replication");
+  cli.add_uint("tasks", 50, "tasks per replication");
   cli.parse(argc, argv);
-  const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+
+  sim::Scenario base = bench::scenario_from_flags(cli);
+  base.tasks = static_cast<std::size_t>(cli.get_uint("tasks"));
+  const lab::SweepRun run = lab::run_sweep(bench::paired_spec(
+      cli, "diversity", {{"resource_domains", {1, 2, 3, 4, 5}}},
+      [base](const lab::Cell& cell) {
+        const auto rds =
+            static_cast<std::size_t>(cell.number("resource_domains"));
+        sim::Scenario scenario = base;
+        scenario.grid.min_resource_domains = rds;
+        scenario.grid.max_resource_domains = rds;
+        return scenario;
+      }));
 
   TextTable table({"resource domains", "unaware makespan", "aware makespan",
                    "improvement", "95% CI"});
   table.set_title("Trust diversity series (MCT, inconsistent LoLo, " +
-                  std::to_string(cli.get_int("tasks")) + " tasks)");
-  for (std::size_t rds = 1; rds <= 5; ++rds) {
-    sim::Scenario scenario = bench::scenario_from_flags(cli);
-    scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
-    scenario.grid.min_resource_domains = rds;
-    scenario.grid.max_resource_domains = rds;
-    const auto r = sim::run_comparison(scenario, replications, seed);
+                  std::to_string(base.tasks) + " tasks)");
+  for (const lab::ManifestCell& cell : run.manifest.cells) {
+    const double rds = cell.params.front().second.number();
+    const double unaware = bench::metric(cell, "unaware.makespan").mean;
+    const double aware = bench::metric(cell, "aware.makespan").mean;
     const double rel_ci =
-        r.makespan_cmp.ci95_diff / r.makespan_cmp.mean_base * 100.0;
-    table.add_row({std::to_string(rds),
-                   format_grouped(r.unaware.makespan.mean(), 1),
-                   format_grouped(r.aware.makespan.mean(), 1),
-                   format_percent(r.improvement_pct),
+        bench::metric(cell, "makespan_diff").ci95 / unaware * 100.0;
+    table.add_row({format_grouped(rds, 0), format_grouped(unaware, 1),
+                   format_grouped(aware, 1),
+                   format_percent(bench::metric(cell, "improvement_pct").mean),
                    "+/- " + format_percent(rel_ci)});
   }
   std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());

@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
   bench::add_lab_flags(cli);
   cli.parse(argc, argv);
 
-  const lab::SweepRun run =
-      bench::run_catalog_spec(cli, "market_tournament", /*paper_layout=*/false);
+  const lab::SweepRun run = bench::run_catalog_spec(cli, "market_tournament");
 
   // (pricing, mechanism, aware, cartel) -> metric means.
   using Key = std::tuple<std::string, std::string, bool, bool>;

@@ -1,46 +1,64 @@
 // One-shot Markdown report: regenerates every paper table and emits a
 // single document (stdout) suitable for pasting into an issue or a wiki.
+// Tables 4-9 are the catalog's table4 ... table9 specs run on the lab sweep
+// engine, so they match `gridtrust_lab run tables` number for number.
 //
-//   --json-reports   append the per-row obs::RunReport dump as fenced JSON
-//   --metrics-out    dump internal des/trust/sched metrics (JSON or CSV)
+//   --replications/--seed  engine overrides (0 replications = the specs')
+//   --out DIR              write one <spec>.json manifest per paper table
+//   --metrics-out          dump internal des/trust/sched metrics (JSON or CSV)
+#include <filesystem>
 #include <iostream>
+#include <vector>
 
+#include "common/cli.hpp"
+#include "common/fs.hpp"
+#include "common/table.hpp"
+#include "lab/catalog.hpp"
+#include "lab/engine.hpp"
+#include "lab/render.hpp"
 #include "net/report.hpp"
 #include "obs/export.hpp"
 #include "sfi/harness.hpp"
-#include "sim/scenario_builder.hpp"
 #include "support.hpp"
 #include "trust/ets.hpp"
-#include "workload/heterogeneity.hpp"
-
-namespace {
-
-using namespace gridtrust;
-
-struct TableSpec {
-  const char* number;
-  const char* heuristic;
-  bool batch;
-  bool consistent;
-  const char* paper;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace gridtrust;
   CliParser cli("bench_report",
                 "Regenerates all paper tables as one Markdown report");
-  bench::add_common_flags(cli);
-  cli.add_flag("json-reports",
-               "append every comparison's RunReport as one JSON document");
+  cli.add_uint("replications", 0,
+               "replication-count override (0 = each spec's own)");
+  cli.add_uint("seed", 20020815, "master seed override");
+  cli.add_string("out", "",
+                 "directory for one <spec>.json manifest per paper table");
+  obs::add_metrics_flags(cli);
   cli.parse(argc, argv);
-  const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   obs::MetricsExportScope metrics(cli);
 
+  lab::EngineOptions options;
+  if (cli.was_set("seed")) options.seed = cli.get_uint("seed");
+  if (cli.get_uint("replications") > 0) {
+    options.replications =
+        static_cast<std::size_t>(cli.get_uint("replications"));
+  }
+  std::vector<std::pair<const lab::SweepSpec*, lab::Manifest>> tables;
+  for (const std::string& name : lab::resolve_run_names("tables")) {
+    const lab::SweepSpec* spec = lab::find_spec(name);
+    tables.emplace_back(spec, lab::run_sweep(*spec, options).manifest);
+  }
+  const std::string out_dir = cli.get_string("out");
+  if (!out_dir.empty()) {
+    std::filesystem::create_directories(out_dir);
+    for (const auto& [spec, manifest] : tables) {
+      atomic_write_file(out_dir + "/" + spec->name + ".json",
+                        lab::to_json(manifest));
+    }
+  }
+
+  const lab::Manifest& first = tables.front().second;
   std::cout << "# gridtrust reproduction report\n\n"
-            << "Replications: " << replications << ", seed: " << seed
+            << "Replications: " << first.replications
+            << ", seed: " << first.seed
             << ".  Absolute seconds are model time; compare shapes (see "
                "EXPERIMENTS.md).\n\n";
 
@@ -62,61 +80,23 @@ int main(int argc, char** argv) {
     std::cout << sfi::sfi_table(rows).to_markdown() << "\n";
   }
 
-  const TableSpec specs[] = {
-      {"4", "mct", false, false, "36.99% / 37.59%"},
-      {"5", "mct", false, true, "34.44% / 34.26%"},
-      {"6", "min-min", true, false, "23.51% / 23.34%"},
-      {"7", "min-min", true, true, "25.28% / 25.32%"},
-      {"8", "sufferage", true, false, "39.66% / 38.40%"},
-      {"9", "sufferage", true, true, "32.67% / 33.19%"},
-  };
-  // Every comparison's RunReport, merged under table<N>.tasks<M> prefixes:
-  // one uniform name -> value document instead of hand-rolled row structs.
-  obs::RunReport combined;
-  for (const TableSpec& spec : specs) {
-    std::vector<sim::ComparisonResult> rows;
-    for (const std::int64_t tasks :
-         {cli.get_int("tasks-a"), cli.get_int("tasks-b")}) {
-      sim::ScenarioBuilder builder = bench::builder_from_flags(cli);
-      builder.tasks(static_cast<std::size_t>(tasks))
-          .heuristic(spec.heuristic);
-      if (spec.batch) builder.batch(cli.get_double("batch-interval"));
-      if (spec.consistent) {
-        builder.consistent();
-      } else {
-        builder.inconsistent();
-      }
-      rows.push_back(sim::run_comparison(builder.build(), replications, seed));
-      combined.merge("table" + std::string(spec.number) + ".tasks" +
-                         std::to_string(tasks),
-                     rows.back().report());
-    }
-    const std::string title =
-        std::string("Table ") + spec.number + ". " + spec.heuristic + ", " +
-        (spec.consistent ? "consistent" : "inconsistent") +
-        " LoLo (paper improvements: " + spec.paper + ")";
-    std::cout << sim::paper_table(title, rows).to_markdown() << "\n";
+  for (const auto& [spec, manifest] : tables) {
+    std::cout << lab::paper_schedule_table(spec->title, manifest).to_markdown()
+              << "\n";
   }
 
   std::cout << "## Headline improvements\n\n";
-  for (const TableSpec& spec : specs) {
-    std::cout << "- Table " << spec.number << " (" << spec.heuristic << "): ";
-    bool first = true;
-    for (const std::int64_t tasks :
-         {cli.get_int("tasks-a"), cli.get_int("tasks-b")}) {
-      const std::string key = "table" + std::string(spec.number) + ".tasks" +
-                              std::to_string(tasks) + ".improvement_pct";
-      if (!first) std::cout << " / ";
-      first = false;
-      std::cout << format_percent(combined.get(key));
+  for (const auto& [spec, manifest] : tables) {
+    std::cout << "- " << spec->title << ": ";
+    for (const lab::ManifestCell& cell : manifest.cells) {
+      if (cell.index > 0) std::cout << " / ";
+      std::cout << format_percent(bench::metric(cell, "improvement_pct").mean);
     }
-    std::cout << " (paper: " << spec.paper << ")\n";
+    std::cout << " (expected: " << spec->expected << ")\n";
   }
   std::cout << "\n";
-
-  if (cli.get_flag("json-reports")) {
-    std::cout << "## Run reports\n\n```json\n"
-              << combined.to_json() << "\n```\n";
+  if (!out_dir.empty()) {
+    std::cout << "Manifests: " << out_dir << "/<spec>.json\n";
   }
   return 0;
 }

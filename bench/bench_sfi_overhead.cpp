@@ -9,16 +9,16 @@ int main(int argc, char** argv) {
   using namespace gridtrust;
   CliParser cli("bench_sfi_overhead",
                 "Reproduces the SFI sandboxing overhead study of §5.1");
-  cli.add_int("scale", 2, "workload size multiplier");
-  cli.add_int("repetitions", 5, "timing repetitions (best-of)");
-  cli.add_int("seed", 5, "workload seed");
+  cli.add_uint("scale", 2, "workload size multiplier");
+  cli.add_uint("repetitions", 5, "timing repetitions (best-of)");
+  cli.add_uint("seed", 5, "workload seed");
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
   const auto rows = sfi::measure_overheads(
-      static_cast<std::size_t>(cli.get_int("scale")),
-      static_cast<std::uint64_t>(cli.get_int("seed")),
-      static_cast<std::size_t>(cli.get_int("repetitions")));
+      static_cast<std::size_t>(cli.get_uint("scale")),
+      cli.get_uint("seed"),
+      static_cast<std::size_t>(cli.get_uint("repetitions")));
   const auto table = sfi::sfi_table(rows);
   std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());
   std::cout << "\nnotes: checks are real (bounds/mask/alignment on every "

@@ -6,6 +6,8 @@
 // the data-to-compute spectrum that starts to matter.
 #include <iostream>
 
+#include "common/stats.hpp"
+#include "common/table.hpp"
 #include "sim/staging.hpp"
 #include "support.hpp"
 
@@ -14,12 +16,12 @@ int main(int argc, char** argv) {
   CliParser cli("bench_staging",
                 "Trust-aware vs unaware scheduling with input-data staging");
   bench::add_common_flags(cli);
-  cli.add_int("tasks", 50, "tasks per replication");
+  cli.add_uint("tasks", 50, "tasks per replication");
   cli.add_string("network", "100", "WAN speed between domains (100 or 1000)");
   cli.parse(argc, argv);
   const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const Rng master(static_cast<std::uint64_t>(cli.get_int("seed")));
+      static_cast<std::size_t>(cli.get_uint("replications"));
+  const Rng master(cli.get_uint("seed"));
 
   const net::LinkProfile link = cli.get_string("network") == "1000"
                                     ? net::gigabit_ethernet_link()
@@ -30,7 +32,7 @@ int main(int argc, char** argv) {
                    "improvement", "no-staging improvement"});
   table.set_title("Data staging on a " + cli.get_string("network") +
                   " Mbps WAN (MCT, inconsistent LoLo, " +
-                  std::to_string(cli.get_int("tasks")) + " tasks)");
+                  std::to_string(cli.get_uint("tasks")) + " tasks)");
   struct Band {
     double lo;
     double hi;
@@ -42,7 +44,7 @@ int main(int argc, char** argv) {
     RunningStats plain_improvement;
     for (std::size_t i = 0; i < replications; ++i) {
       sim::Scenario scenario = bench::scenario_from_flags(cli);
-      scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
+      scenario.tasks = static_cast<std::size_t>(cli.get_uint("tasks"));
       Rng rng = master.stream(i);
       sim::Instance instance =
           sim::draw_instance(scenario, sched::trust_unaware_policy(), rng);

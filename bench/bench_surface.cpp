@@ -3,7 +3,9 @@
 // Emits a grid suitable for contour plotting; the zero-crossing line shows
 // exactly where trust awareness stops paying.
 #include <iostream>
+#include <vector>
 
+#include "common/table.hpp"
 #include "support.hpp"
 
 int main(int argc, char** argv) {
@@ -11,30 +13,38 @@ int main(int argc, char** argv) {
   CliParser cli("bench_surface",
                 "Improvement surface over (TC weight, blanket rate)");
   bench::add_common_flags(cli);
-  cli.add_int("tasks", 50, "tasks per replication");
+  cli.add_uint("tasks", 50, "tasks per replication");
   cli.parse(argc, argv);
-  const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
-  const std::vector<double> weights = {0.0, 5.0, 10.0, 15.0, 20.0, 30.0};
-  const std::vector<double> blankets = {10.0, 25.0, 50.0, 75.0, 100.0};
+  const lab::Axis weights{"tc_weight", {0, 5, 10, 15, 20, 30}};
+  const lab::Axis blankets{"blanket", {10, 25, 50, 75, 100}};
+  sim::Scenario base = bench::scenario_from_flags(cli);
+  base.tasks = static_cast<std::size_t>(cli.get_uint("tasks"));
+  const lab::SweepRun run = lab::run_sweep(bench::paired_spec(
+      cli, "surface", {weights, blankets}, [base](const lab::Cell& cell) {
+        sim::Scenario scenario = base;
+        scenario.security.tc_weight_pct = cell.number("tc_weight");
+        scenario.security.blanket_pct = cell.number("blanket");
+        return scenario;
+      }));
 
   std::vector<std::string> headers{"TC weight \\ blanket"};
-  for (const double b : blankets) headers.push_back(format_grouped(b, 0) + "%");
+  for (const lab::ParamValue& b : blankets.values) {
+    headers.push_back(format_grouped(b.number(), 0) + "%");
+  }
   TextTable table(std::move(headers));
   table.set_title(
       "Improvement surface (MCT, inconsistent LoLo; paper point: weight 15, "
       "blanket 50)");
-  for (const double w : weights) {
-    std::vector<std::string> row{format_grouped(w, 0) + "%"};
-    for (const double b : blankets) {
-      sim::Scenario scenario = bench::scenario_from_flags(cli);
-      scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
-      scenario.security.tc_weight_pct = w;
-      scenario.security.blanket_pct = b;
-      const auto r = sim::run_comparison(scenario, replications, seed);
-      row.push_back(format_percent(r.improvement_pct));
+  // Cells run row-major, blanket fastest: one table row per TC weight.
+  const std::vector<lab::ManifestCell>& cells = run.manifest.cells;
+  for (std::size_t w = 0; w < weights.values.size(); ++w) {
+    std::vector<std::string> row{
+        format_grouped(weights.values[w].number(), 0) + "%"};
+    for (std::size_t b = 0; b < blankets.values.size(); ++b) {
+      const lab::ManifestCell& cell = cells[w * blankets.values.size() + b];
+      row.push_back(
+          format_percent(bench::metric(cell, "improvement_pct").mean));
     }
     table.add_row(std::move(row));
   }

@@ -8,6 +8,8 @@
 // analysis.
 #include <iostream>
 
+#include "common/stats.hpp"
+#include "common/table.hpp"
 #include "support.hpp"
 
 int main(int argc, char** argv) {
@@ -15,15 +17,15 @@ int main(int argc, char** argv) {
   CliParser cli("bench_theorem_check",
                 "Empirical check of the §5.2 makespan-dominance theorem");
   bench::add_common_flags(cli);
-  cli.add_int("tasks", 50, "tasks per instance");
+  cli.add_uint("tasks", 50, "tasks per instance");
   cli.parse(argc, argv);
-  const auto instances = static_cast<std::size_t>(cli.get_int("replications"));
-  const Rng master(static_cast<std::uint64_t>(cli.get_int("seed")));
+  const auto instances = static_cast<std::size_t>(cli.get_uint("replications"));
+  const Rng master(cli.get_uint("seed"));
 
   TextTable table({"heuristic", "instances", "aware <= unaware",
                    "violations", "worst violation", "mean improvement"});
   table.set_title("Does trust-aware dominate per instance? (" +
-                  std::to_string(cli.get_int("tasks")) + " tasks)");
+                  std::to_string(cli.get_uint("tasks")) + " tasks)");
   struct Arm {
     std::string name;
     bool batch;
@@ -36,7 +38,7 @@ int main(int argc, char** argv) {
     RunningStats improvement;
     for (std::size_t i = 0; i < instances; ++i) {
       sim::Scenario scenario = bench::scenario_from_flags(cli);
-      scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
+      scenario.tasks = static_cast<std::size_t>(cli.get_uint("tasks"));
       scenario.rms.heuristic = arm.name;
       scenario.rms.mode = arm.batch ? sim::SchedulingMode::kBatch
                                     : sim::SchedulingMode::kImmediate;

@@ -93,12 +93,12 @@ std::tuple<double, double, double> collusion_experiment(
 int main(int argc, char** argv) {
   CliParser cli("bench_trust_evolution",
                 "Trust-engine convergence and collusion resistance");
-  cli.add_int("entities", 12, "entities in the population");
-  cli.add_int("seed", 404, "random seed");
+  cli.add_uint("entities", 12, "entities in the population");
+  cli.add_uint("seed", 404, "random seed");
   cli.add_flag("csv", "emit CSV instead of ASCII tables");
   cli.parse(argc, argv);
-  Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  const auto entities = static_cast<std::size_t>(cli.get_int("entities"));
+  Rng rng(cli.get_uint("seed"));
+  const auto entities = static_cast<std::size_t>(cli.get_uint("entities"));
 
   TextTable conv({"interactions", "mean |Gamma - truth| (noise 0.5)",
                   "mean |Gamma - truth| (noise 1.5)"});

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   using namespace gridtrust;
 
   CliParser cli("adaptive_rms", "Closed-loop trust-aware RMS walkthrough");
-  cli.add_int("rounds", 8, "scheduling rounds");
-  cli.add_int("seed", 99, "random seed");
+  cli.add_uint("rounds", 8, "scheduling rounds");
+  cli.add_uint("seed", 99, "random seed");
   cli.add_flag("dump-table", "print the learned table in its save format");
   cli.parse(argc, argv);
 
@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
           .build();
 
   sim::RoundConfig config;
-  config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+  config.rounds = static_cast<std::size_t>(cli.get_uint("rounds"));
   config.tasks_per_round = 50;
   config.initial_level = trust::TrustLevel::kE;  // optimistic bootstrap
 
   const sim::CampaignResult run = sim::run_campaign(
-      scenario, config, static_cast<std::uint64_t>(cli.get_int("seed")));
+      scenario, config, cli.get_uint("seed"));
 
   TextTable table({"round", "makespan (s)", "mean chosen TC",
                    "uncovered exposure", "table updates"});

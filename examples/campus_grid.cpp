@@ -20,10 +20,10 @@ int main(int argc, char** argv) {
 
   CliParser cli("campus_grid",
                 "Three-institution campus Grid with trust-aware Sufferage");
-  cli.add_int("tasks", 24, "requests to schedule");
-  cli.add_int("seed", 7, "random seed");
+  cli.add_uint("tasks", 24, "requests to schedule");
+  cli.add_uint("seed", 7, "random seed");
   cli.parse(argc, argv);
-  Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
+  Rng rng(cli.get_uint("seed"));
 
   // --- Build the Grid: three institutions with different capabilities. ---
   grid::GridSystemBuilder builder(grid::ActivityCatalog::standard());
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   req_params.arrival_rate = 1.0;
   req_params.min_rtl = 2;  // nobody requires less than B
   const auto requests = workload::generate_requests(
-      grid_sys, static_cast<std::size_t>(cli.get_int("tasks")), req_params,
+      grid_sys, static_cast<std::size_t>(cli.get_uint("tasks")), req_params,
       rng);
   const auto eec = workload::generate_eec(requests.size(),
                                           grid_sys.machines().size(),

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   cli.add_string("mode", "immediate", "immediate or batch");
   cli.add_string("policy", "aware", "aware, unaware, or both");
   cli.add_double("batch-interval", 30.0, "meta-request interval (batch mode)");
-  cli.add_int("seed", 3, "seed for the demo instance");
+  cli.add_uint("seed", 3, "seed for the demo instance");
   cli.add_flag("gantt", "print an ASCII Gantt chart of the schedule");
   cli.add_flag("csv", "print per-request results as CSV");
   cli.parse(argc, argv);
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   std::string table_path = cli.get_string("table");
   if (trace_path.empty() || table_path.empty()) {
     const auto [demo_trace, demo_table] =
-        write_demo(static_cast<std::uint64_t>(cli.get_int("seed")));
+        write_demo(cli.get_uint("seed"));
     if (trace_path.empty()) trace_path = demo_trace;
     if (table_path.empty()) table_path = demo_table;
   }

@@ -19,10 +19,10 @@ int main(int argc, char** argv) {
 
   CliParser cli("trust_federation",
                 "Evolving trust with agents, decay, and collusion");
-  cli.add_int("rounds", 30, "transaction rounds to simulate");
-  cli.add_int("seed", 11, "random seed");
+  cli.add_uint("rounds", 30, "transaction rounds to simulate");
+  cli.add_uint("seed", 11, "random seed");
   cli.parse(argc, argv);
-  Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
+  Rng rng(cli.get_uint("seed"));
 
   // Four client domains, three resource domains, one activity ("execute").
   // Ground-truth conduct of the resource domains on the 1..6 scale:
@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
                                          bridge.rd_entity(2));
 
   trust::TrustLevelTable table(4, 3, 1);
-  const int rounds = static_cast<int>(cli.get_int("rounds"));
+  const std::uint64_t rounds = cli.get_uint("rounds");
   double now = 0.0;
-  for (int round = 0; round < rounds; ++round) {
+  for (std::uint64_t round = 0; round < rounds; ++round) {
     for (std::size_t cd = 0; cd < 4; ++cd) {
       for (std::size_t rd = 0; rd < 3; ++rd) {
         now += rng.exponential(2.0);

@@ -103,28 +103,4 @@ double percentile(std::vector<double> values, double p) {
   return below * (1.0 - frac) + above * frac;
 }
 
-PairedComparison paired_comparison(const std::vector<double>& base,
-                                   const std::vector<double>& treat) {
-  GT_REQUIRE(!base.empty(), "paired_comparison requires samples");
-  GT_REQUIRE(base.size() == treat.size(),
-             "paired_comparison requires equal-length samples");
-  RunningStats sb;
-  RunningStats st;
-  RunningStats sd;
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    sb.add(base[i]);
-    st.add(treat[i]);
-    sd.add(base[i] - treat[i]);
-  }
-  PairedComparison out;
-  out.mean_base = sb.mean();
-  out.mean_treat = st.mean();
-  out.mean_diff = sd.mean();
-  out.ci95_diff = sd.ci95_halfwidth();
-  out.improvement_pct = percent_improvement(sb.mean(), st.mean());
-  out.significant =
-      sd.count() >= 2 && std::abs(sd.mean()) > sd.ci95_halfwidth();
-  return out;
-}
-
 }  // namespace gridtrust

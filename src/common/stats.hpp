@@ -68,20 +68,4 @@ double mean_of(const std::vector<double>& xs);
 /// Requires a non-empty sample.
 double percentile(std::vector<double> values, double p);
 
-/// Paired-sample summary for comparing two policies on common random numbers.
-struct PairedComparison {
-  double mean_base = 0.0;       ///< mean of the baseline samples
-  double mean_treat = 0.0;      ///< mean of the treatment samples
-  double mean_diff = 0.0;       ///< mean of (base - treat)
-  double ci95_diff = 0.0;       ///< 95 % CI half-width of the difference
-  double improvement_pct = 0.0; ///< percent_improvement of the means
-  /// True when the 95 % CI of the paired difference excludes zero.
-  bool significant = false;
-};
-
-/// Computes a paired comparison; both vectors must be non-empty and of equal
-/// length (sample i of each comes from the same replication seed).
-PairedComparison paired_comparison(const std::vector<double>& base,
-                                   const std::vector<double>& treat);
-
 }  // namespace gridtrust

@@ -13,40 +13,7 @@
 
 namespace gridtrust::lab {
 
-namespace {
-
-/// One paired replication on common random numbers — the unit the engine
-/// replicates and aggregates.  Mirrors sim::run_comparison's inner loop but
-/// reports through RunReport so any sweep can consume it.
-obs::RunReport paired_replication(const sim::Scenario& scenario,
-                                  std::uint64_t rep_seed) {
-  Rng rng(rep_seed);
-  const sim::Instance instance =
-      sim::draw_instance(scenario, sched::trust_unaware_policy(), rng);
-  const sim::SimulationResult unaware =
-      sim::run_trms(instance.problem, scenario.rms);
-  const sim::SimulationResult aware = sim::run_trms(
-      instance.problem.with_policy(sched::trust_aware_policy()), scenario.rms);
-  obs::RunReport report;
-  report.set("unaware.makespan", unaware.makespan);
-  report.set("unaware.utilization_pct", unaware.utilization_pct);
-  report.set("unaware.mean_flow_time", unaware.mean_flow_time);
-  report.set("unaware.flow_time_p95", unaware.flow_time_p95);
-  report.set("unaware.batches", static_cast<double>(unaware.batches));
-  report.set("aware.makespan", aware.makespan);
-  report.set("aware.utilization_pct", aware.utilization_pct);
-  report.set("aware.mean_flow_time", aware.mean_flow_time);
-  report.set("aware.flow_time_p95", aware.flow_time_p95);
-  report.set("aware.batches", static_cast<double>(aware.batches));
-  // The paired difference: its aggregate ci95 *is* the common-random-numbers
-  // confidence interval of run_comparison's makespan_cmp.
-  report.set("makespan_diff", unaware.makespan - aware.makespan);
-  return report;
-}
-
-/// Adds the improvement-of-means and paired-significance scalars every
-/// trust-aware-vs-unaware sweep reports.
-void finalize_paired(AggregateSet& aggregate) {
+void finalize_paired(const Cell& /*cell*/, AggregateSet& aggregate) {
   const MetricAggregate diff = aggregate.get("makespan_diff");
   const double base = aggregate.mean("unaware.makespan");
   aggregate.set_derived("improvement_pct",
@@ -54,6 +21,8 @@ void finalize_paired(AggregateSet& aggregate) {
   aggregate.set_derived("significant",
                         std::fabs(diff.mean) > diff.ci95 ? 1.0 : 0.0);
 }
+
+namespace {
 
 SweepSpec paper_table_spec(const std::string& number,
                            const std::string& heuristic, bool batch,
@@ -83,11 +52,9 @@ SweepSpec paper_table_spec(const std::string& number,
     } else {
       builder.inconsistent();
     }
-    return paired_replication(builder.build(), rep_seed);
+    return sim::run_paired(builder.build(), rep_seed);
   };
-  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
-    finalize_paired(aggregate);
-  };
+  spec.finalize = finalize_paired;
   spec.display_metrics = {"unaware.makespan", "aware.makespan",
                           "improvement_pct", "significant"};
   return spec;
@@ -180,11 +147,9 @@ SweepSpec pricing_ablation_spec(bool sweep_weight) {
     } else {
       scenario.security.blanket_pct = cell.number("blanket");
     }
-    return paired_replication(scenario, rep_seed);
+    return sim::run_paired(scenario, rep_seed);
   };
-  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
-    finalize_paired(aggregate);
-  };
+  spec.finalize = finalize_paired;
   spec.display_metrics = {"improvement_pct", "significant"};
   return spec;
 }
@@ -206,11 +171,9 @@ SweepSpec batch_interval_spec() {
                                        .batch(cell.number("interval"))
                                        .inconsistent()
                                        .build();
-    return paired_replication(scenario, rep_seed);
+    return sim::run_paired(scenario, rep_seed);
   };
-  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
-    finalize_paired(aggregate);
-  };
+  spec.finalize = finalize_paired;
   spec.display_metrics = {"aware.batches", "aware.makespan",
                           "aware.mean_flow_time", "improvement_pct"};
   return spec;
@@ -482,11 +445,9 @@ SweepSpec smoke_spec() {
             .immediate()
             .inconsistent()
             .build();
-    return paired_replication(scenario, rep_seed);
+    return sim::run_paired(scenario, rep_seed);
   };
-  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
-    finalize_paired(aggregate);
-  };
+  spec.finalize = finalize_paired;
   spec.display_metrics = {"unaware.makespan", "aware.makespan",
                           "improvement_pct"};
   return spec;

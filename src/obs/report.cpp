@@ -73,19 +73,6 @@ std::vector<std::string> RunReport::names() const {
   return out;
 }
 
-RunReport& RunReport::merge(const std::string& prefix,
-                            const RunReport& other) {
-  for (const Entry& entry : other.entries_) {
-    const std::string name = prefix + "." + entry.name;
-    if (entry.is_series) {
-      set_series(name, entry.series);
-    } else {
-      set(name, entry.scalar);
-    }
-  }
-  return *this;
-}
-
 std::string RunReport::to_json() const {
   std::string out = "{";
   bool first = true;

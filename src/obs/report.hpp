@@ -1,10 +1,10 @@
 // Observability: the canonical run-result container.
 //
-// Every simulation entry point (sim::SimulationResult, sim::ComparisonResult,
-// sim::CampaignResult, sim::MarketCampaignResult, bench rows) can render
-// itself as a RunReport — an ordered name → scalar / series map with one
-// JSON and one CSV serialization — so downstream tooling consumes a single
-// shape instead of one hand-rolled struct per bench.
+// Every simulation entry point (sim::SimulationResult, sim::run_paired,
+// sim::CampaignResult, sim::MarketCampaignResult, lab sweep units) reports
+// through a RunReport — an ordered name → scalar / series map with one JSON
+// and one CSV serialization — so downstream tooling consumes a single shape
+// instead of one hand-rolled struct per bench.
 //
 // Naming mirrors the metrics convention: `<group>.<field>`, e.g.
 // "makespan", "aware.makespan_mean", "rounds.misplaced_fraction".
@@ -43,10 +43,6 @@ class RunReport {
   /// All entry names in insertion order.
   std::vector<std::string> names() const;
   std::size_t size() const { return entries_.size(); }
-
-  /// Merges `other` into this report with every name prefixed
-  /// (`prefix` + "." + name); used to nest per-arm reports.
-  RunReport& merge(const std::string& prefix, const RunReport& other);
 
   /// {"name":value,...,"series_name":[v0,v1,...]}
   std::string to_json() const;

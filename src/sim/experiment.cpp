@@ -1,9 +1,8 @@
 #include "sim/experiment.hpp"
 
-#include <mutex>
+#include <string>
 
 #include "chaos/faults.hpp"
-#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "sched/problem.hpp"
 
@@ -11,40 +10,19 @@ namespace gridtrust::sim {
 
 namespace {
 
-const obs::Counter kReplications("sim.replications");
-const obs::Counter kComparisons("sim.comparisons");
-const obs::Histogram kReplicationNs("sim.replication_ns",
-                                    obs::duration_bounds_ns());
 const obs::Histogram kDrawInstanceNs("sim.draw_instance_ns",
                                      obs::duration_bounds_ns());
 
-void report_policy(obs::RunReport& out, const std::string& prefix,
-                   const PolicyStats& stats) {
-  out.set(prefix + ".makespan", stats.makespan.mean());
-  out.set(prefix + ".makespan_ci95", stats.makespan.ci95_halfwidth());
-  out.set(prefix + ".utilization_pct", stats.utilization_pct.mean());
-  out.set(prefix + ".mean_flow_time", stats.mean_flow_time.mean());
-  out.set(prefix + ".flow_time_p95", stats.flow_time_p95.mean());
-  out.set(prefix + ".batches", stats.batches.mean());
+void report_arm(obs::RunReport& out, const std::string& prefix,
+                const SimulationResult& run) {
+  out.set(prefix + ".makespan", run.makespan);
+  out.set(prefix + ".utilization_pct", run.utilization_pct);
+  out.set(prefix + ".mean_flow_time", run.mean_flow_time);
+  out.set(prefix + ".flow_time_p95", run.flow_time_p95);
+  out.set(prefix + ".batches", static_cast<double>(run.batches));
 }
 
 }  // namespace
-
-obs::RunReport ComparisonResult::report() const {
-  obs::RunReport out;
-  out.set("tasks", static_cast<double>(scenario.tasks));
-  out.set("replications", static_cast<double>(replications));
-  out.set("improvement_pct", improvement_pct);
-  report_policy(out, "unaware", unaware);
-  report_policy(out, "aware", aware);
-  out.set("makespan_cmp.mean_base", makespan_cmp.mean_base);
-  out.set("makespan_cmp.mean_treat", makespan_cmp.mean_treat);
-  out.set("makespan_cmp.mean_diff", makespan_cmp.mean_diff);
-  out.set("makespan_cmp.ci95_diff", makespan_cmp.ci95_diff);
-  out.set("makespan_cmp.significant", makespan_cmp.significant ? 1.0 : 0.0);
-  if (!scenario.chaos.empty()) chaos.to_report(out);
-  return out;
-}
 
 Instance draw_instance(const Scenario& scenario,
                        const sched::SchedulingPolicy& policy, Rng& rng) {
@@ -83,95 +61,26 @@ SimulationResult run_single(const Scenario& scenario,
   return run_trms(instance.problem, scenario.rms);
 }
 
-ComparisonResult run_comparison(const Scenario& scenario,
-                                std::size_t replications, std::uint64_t seed,
-                                ThreadPool* pool) {
-  GT_REQUIRE(replications >= 1, "need at least one replication");
-
-  ComparisonResult result;
-  result.scenario = scenario;
-  result.replications = replications;
-
-  std::vector<double> unaware_mk(replications);
-  std::vector<double> aware_mk(replications);
-  std::vector<SimulationResult> unaware_runs(replications);
-  std::vector<SimulationResult> aware_runs(replications);
-  std::vector<chaos::FaultApplication> faults(replications);
-
-  kComparisons.add();
-  const Rng master(seed);
-  const auto run_one = [&](std::size_t i) {
-    kReplications.add();
-    obs::ScopedTimer timer(kReplicationNs);
-    // Both policies see the identical instance: same stream, same draws.
-    Rng rng = master.stream(i);
-    const Instance instance =
-        draw_instance(scenario, sched::trust_unaware_policy(), rng);
-    unaware_runs[i] = run_trms(instance.problem, scenario.rms);
-    aware_runs[i] = run_trms(
-        instance.problem.with_policy(sched::trust_aware_policy()),
-        scenario.rms);
-    unaware_mk[i] = unaware_runs[i].makespan;
-    aware_mk[i] = aware_runs[i].makespan;
-    faults[i] = instance.faults;
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(replications, run_one);
-  } else {
-    for (std::size_t i = 0; i < replications; ++i) run_one(i);
+obs::RunReport run_paired(const Scenario& scenario, std::uint64_t rep_seed) {
+  // Both policies see the identical instance: one stream, one draw.
+  Rng rng(rep_seed);
+  const Instance instance =
+      draw_instance(scenario, sched::trust_unaware_policy(), rng);
+  const SimulationResult unaware = run_trms(instance.problem, scenario.rms);
+  const SimulationResult aware = run_trms(
+      instance.problem.with_policy(sched::trust_aware_policy()), scenario.rms);
+  obs::RunReport report;
+  report_arm(report, "unaware", unaware);
+  report_arm(report, "aware", aware);
+  // The paired difference: its aggregate ci95 is the common-random-numbers
+  // confidence interval of the makespan gain.
+  report.set("makespan_diff", unaware.makespan - aware.makespan);
+  if (!scenario.chaos.empty()) {
+    chaos::ChaosCounters counters;
+    counters.faults_injected = instance.faults.windows_applied;
+    counters.to_report(report);
   }
-
-  for (std::size_t i = 0; i < replications; ++i) {
-    result.unaware.makespan.add(unaware_runs[i].makespan);
-    result.unaware.utilization_pct.add(unaware_runs[i].utilization_pct);
-    result.unaware.mean_flow_time.add(unaware_runs[i].mean_flow_time);
-    result.unaware.flow_time_p95.add(unaware_runs[i].flow_time_p95);
-    result.unaware.batches.add(static_cast<double>(unaware_runs[i].batches));
-    result.aware.makespan.add(aware_runs[i].makespan);
-    result.aware.utilization_pct.add(aware_runs[i].utilization_pct);
-    result.aware.mean_flow_time.add(aware_runs[i].mean_flow_time);
-    result.aware.flow_time_p95.add(aware_runs[i].flow_time_p95);
-    result.aware.batches.add(static_cast<double>(aware_runs[i].batches));
-  }
-  for (const chaos::FaultApplication& f : faults) {
-    result.chaos.faults_injected += f.windows_applied;
-  }
-  result.makespan_cmp = paired_comparison(unaware_mk, aware_mk);
-  result.improvement_pct = result.makespan_cmp.improvement_pct;
-  return result;
-}
-
-TextTable paper_table(const std::string& title,
-                      const std::vector<ComparisonResult>& rows) {
-  TextTable table({"# of tasks", "Using trust", "Machine utilization",
-                   "Ave. completion time (sec)", "Improvement"});
-  table.set_title(title);
-  bool first = true;
-  for (const ComparisonResult& row : rows) {
-    if (!first) table.add_separator();
-    first = false;
-    table.add_row({std::to_string(row.scenario.tasks), "No",
-                   format_percent(row.unaware.utilization_pct.mean()),
-                   format_grouped(row.unaware.makespan.mean(), 2),
-                   format_percent(row.improvement_pct)});
-    table.add_row({"", "Yes",
-                   format_percent(row.aware.utilization_pct.mean()),
-                   format_grouped(row.aware.makespan.mean(), 2), ""});
-  }
-  return table;
-}
-
-std::string summarize(const ComparisonResult& result) {
-  const double rel_ci =
-      result.makespan_cmp.mean_base > 0.0
-          ? result.makespan_cmp.ci95_diff / result.makespan_cmp.mean_base * 100.0
-          : 0.0;
-  return "tasks=" + std::to_string(result.scenario.tasks) + " " +
-         result.scenario.rms.heuristic + ": improvement " +
-         format_percent(result.improvement_pct) + " (95% CI half-width " +
-         format_percent(rel_ci) + ", n=" +
-         std::to_string(result.replications) + ")";
+  return report;
 }
 
 }  // namespace gridtrust::sim

@@ -1,22 +1,17 @@
-// Replicated trust-aware vs trust-unaware experiments (Tables 4-9).
+// Trust-aware vs trust-unaware experiments (Tables 4-9).
 //
-// One replication draws a random Grid topology, trust-level table, EEC
-// matrix, and request stream from a per-replication RNG stream, then runs
-// the RMS twice on the *same* instance: once trust-unaware, once
-// trust-aware (common random numbers).  Rows aggregate means and paired
-// confidence intervals across replications.
+// One paired replication draws a random Grid topology, trust-level table,
+// EEC matrix, and request stream from one RNG stream, then runs the RMS
+// twice on the *same* instance: once trust-unaware, once trust-aware
+// (common random numbers).  The lab engine replicates and aggregates that
+// unit (lab/catalog.hpp, lab::finalize_paired).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "chaos/config.hpp"
-#include "common/stats.hpp"
 #include "econ/config.hpp"
-#include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "grid/grid_system.hpp"
 #include "obs/report.hpp"
 #include "sim/trm_simulation.hpp"
@@ -63,43 +58,6 @@ struct Scenario {
   Scenario() { requests.arrival_rate = 1.0; }
 };
 
-/// Aggregates of one policy over all replications.
-struct PolicyStats {
-  RunningStats makespan;
-  RunningStats utilization_pct;
-  RunningStats mean_flow_time;
-  RunningStats flow_time_p95;
-  RunningStats batches;
-};
-
-/// One trust-unaware vs trust-aware comparison (a pair of table rows).
-struct ComparisonResult {
-  Scenario scenario;
-  std::size_t replications = 0;
-  PolicyStats unaware;
-  PolicyStats aware;
-  /// Paired statistics of the makespans (common random numbers).
-  PairedComparison makespan_cmp;
-  /// The paper's headline number: mean improvement of the makespan.
-  double improvement_pct = 0.0;
-  /// Chaos accounting summed over replications (all zero for clean runs).
-  chaos::ChaosCounters chaos;
-
-  /// Aggregates as a uniform obs::RunReport.  Per-policy means live under
-  /// `unaware.*` / `aware.*` (makespan, utilization_pct, mean_flow_time,
-  /// flow_time_p95, batches); the paired comparison under `makespan_cmp.*`;
-  /// plus top-level replications, tasks, and improvement_pct.  Scenarios
-  /// with a non-empty chaos config additionally carry the chaos.* counters.
-  obs::RunReport report() const;
-};
-
-/// Runs `replications` paired simulations of `scenario`.  Seeds derive from
-/// `seed`; pass a thread pool to spread replications over workers (results
-/// are identical either way).
-ComparisonResult run_comparison(const Scenario& scenario,
-                                std::size_t replications, std::uint64_t seed,
-                                ThreadPool* pool = nullptr);
-
 /// One fully drawn instance: topology, trust table, requests, and the
 /// scheduling problem bound to a policy.  Exposed so ablation benches and
 /// alternative schedulers (e.g. sim::run_distributed) can reuse the exact
@@ -124,12 +82,12 @@ Instance draw_instance(const Scenario& scenario,
 SimulationResult run_single(const Scenario& scenario,
                             const sched::SchedulingPolicy& policy, Rng rng);
 
-/// Renders rows in the exact layout of the paper's Tables 4-9; pass the
-/// results for each task count (e.g. 50 and 100).
-TextTable paper_table(const std::string& title,
-                      const std::vector<ComparisonResult>& rows);
-
-/// A one-line summary ("improvement 36.4 % ± 1.2 %") for logs.
-std::string summarize(const ComparisonResult& result);
+/// One paired replication on common random numbers: draws one instance
+/// from `rep_seed`, then runs it trust-unaware and trust-aware.  Reports
+/// `unaware.*` and `aware.*` (makespan, utilization_pct, mean_flow_time,
+/// flow_time_p95, batches) and `makespan_diff` (unaware - aware), in that
+/// order.  Scenarios with a non-empty chaos config add the chaos.* counters
+/// after them.  This is the unit every paired lab sweep replicates.
+obs::RunReport run_paired(const Scenario& scenario, std::uint64_t rep_seed);
 
 }  // namespace gridtrust::sim

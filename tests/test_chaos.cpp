@@ -11,6 +11,8 @@
 #include "chaos/faults.hpp"
 #include "common/error.hpp"
 #include "des/simulator.hpp"
+#include "lab/manifest.hpp"
+#include "paired_sweep.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
@@ -441,9 +443,10 @@ TEST(ChaosCampaign, EmptyConfigKeepsExperimentsBitIdentical) {
   ASSERT_TRUE(plain.chaos.empty());
   sim::Scenario with_field = plain;
   with_field.chaos = chaos::CampaignConfig{};
-  const std::string a = sim::run_comparison(plain, 5, 7).report().to_json();
-  const std::string b =
-      sim::run_comparison(with_field, 5, 7).report().to_json();
+  const std::string a = lab::to_json(
+      lab::run_sweep(testing_support::paired_spec(plain, 5, 7)).manifest);
+  const std::string b = lab::to_json(
+      lab::run_sweep(testing_support::paired_spec(with_field, 5, 7)).manifest);
   EXPECT_EQ(a, b);
 }
 
@@ -459,15 +462,17 @@ TEST(ChaosStaticPath, MachineFaultsRaiseUnawareCosts) {
   const sim::Scenario clean = sim::ScenarioBuilder().heuristic("mct").build();
   const sim::Scenario faulty =
       sim::ScenarioBuilder().heuristic("mct").with_faults({slow}).build();
-  const sim::ComparisonResult clean_run = sim::run_comparison(clean, 5, 7);
-  const sim::ComparisonResult faulty_run = sim::run_comparison(faulty, 5, 7);
-  EXPECT_EQ(clean_run.chaos.faults_injected, 0u);
-  EXPECT_EQ(faulty_run.chaos.faults_injected, 5u);  // one window x 5 reps
-  EXPECT_GT(faulty_run.aware.makespan.mean(),
-            clean_run.aware.makespan.mean());
+  const lab::AggregateSet clean_run =
+      testing_support::run_paired_cell(clean, 5, 7);
+  const lab::AggregateSet faulty_run =
+      testing_support::run_paired_cell(faulty, 5, 7);
   // The chaos.* keys surface in the report only for chaos scenarios.
-  EXPECT_FALSE(clean_run.report().has("chaos.faults_injected"));
-  EXPECT_DOUBLE_EQ(faulty_run.report().get("chaos.faults_injected"), 5.0);
+  EXPECT_FALSE(clean_run.has("chaos.faults_injected"));
+  const lab::MetricAggregate faults = faulty_run.get("chaos.faults_injected");
+  EXPECT_DOUBLE_EQ(faults.mean * static_cast<double>(faults.n),
+                   5.0);  // one window x 5 reps
+  EXPECT_GT(faulty_run.mean("aware.makespan"),
+            clean_run.mean("aware.makespan"));
 }
 
 TEST(ChaosConfig, CountersAggregateAndReport) {

@@ -389,28 +389,6 @@ TEST(Stats, PercentileSelectionMatchesAFullSortBitForBit) {
   }
 }
 
-TEST(Stats, PairedComparisonBasics) {
-  const std::vector<double> base = {10, 12, 11, 13, 10};
-  const std::vector<double> treat = {7, 9, 8, 10, 7};
-  const PairedComparison cmp = paired_comparison(base, treat);
-  EXPECT_NEAR(cmp.mean_diff, 3.0, 1e-12);
-  EXPECT_NEAR(cmp.improvement_pct,
-              percent_improvement(cmp.mean_base, cmp.mean_treat), 1e-12);
-  EXPECT_TRUE(cmp.significant);  // constant difference of 3, zero variance
-}
-
-TEST(Stats, PairedComparisonInsignificantWhenNoisy) {
-  const std::vector<double> base = {10, 2, 14, 3};
-  const std::vector<double> treat = {2, 10, 3, 14};
-  const PairedComparison cmp = paired_comparison(base, treat);
-  EXPECT_FALSE(cmp.significant);
-}
-
-TEST(Stats, PairedComparisonValidation) {
-  EXPECT_THROW(paired_comparison({}, {}), PreconditionError);
-  EXPECT_THROW(paired_comparison({1.0}, {1.0, 2.0}), PreconditionError);
-}
-
 // ---------------------------------------------------------------- table
 
 TEST(Table, GroupsThousands) {

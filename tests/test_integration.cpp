@@ -8,6 +8,7 @@
 
 #include "common/stats.hpp"
 #include "net/transfer_model.hpp"
+#include "paired_sweep.hpp"
 #include "sched/executor.hpp"
 #include "sched/problem.hpp"
 #include "sfi/harness.hpp"
@@ -113,12 +114,12 @@ TEST_P(PaperShapeSweep, TrustAwareWinsForEveryPaperCell) {
     scenario.rms.mode = sim::SchedulingMode::kBatch;
     scenario.rms.heuristic = heuristic;
   }
-  const sim::ComparisonResult result =
-      sim::run_comparison(scenario, 15, 4242);
-  EXPECT_GT(result.improvement_pct, 5.0)
+  const lab::AggregateSet result =
+      testing_support::run_paired_cell(scenario, 15, 4242);
+  EXPECT_GT(result.mean("improvement_pct"), 5.0)
       << heuristic << (consistent ? " consistent" : " inconsistent");
-  EXPECT_TRUE(result.makespan_cmp.significant);
-  EXPECT_GT(result.unaware.utilization_pct.mean(), 75.0);
+  EXPECT_EQ(result.mean("significant"), 1.0);
+  EXPECT_GT(result.mean("unaware.utilization_pct"), 75.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -143,9 +144,10 @@ TEST(Integration, TrustAwareWinsUnderEveryBatchMapper) {
     scenario.tasks = 40;
     scenario.rms.mode = sim::SchedulingMode::kBatch;
     scenario.rms.heuristic = name;
-    const auto result = sim::run_comparison(scenario, 10, 321);
-    EXPECT_GT(result.improvement_pct, 0.0) << name;
-    EXPECT_TRUE(result.makespan_cmp.significant) << name;
+    const lab::AggregateSet result =
+        testing_support::run_paired_cell(scenario, 10, 321);
+    EXPECT_GT(result.mean("improvement_pct"), 0.0) << name;
+    EXPECT_EQ(result.mean("significant"), 1.0) << name;
   }
 }
 
@@ -155,10 +157,10 @@ TEST(Integration, MakespanScalesRoughlyLinearlyInTasks) {
   s50.tasks = 50;
   sim::Scenario s100;
   s100.tasks = 100;
-  const auto r50 = sim::run_comparison(s50, 15, 99);
-  const auto r100 = sim::run_comparison(s100, 15, 99);
+  const auto r50 = testing_support::run_paired_cell(s50, 15, 99);
+  const auto r100 = testing_support::run_paired_cell(s100, 15, 99);
   const double ratio =
-      r100.unaware.makespan.mean() / r50.unaware.makespan.mean();
+      r100.mean("unaware.makespan") / r50.mean("unaware.makespan");
   EXPECT_GT(ratio, 1.6);
   EXPECT_LT(ratio, 2.4);
 }
@@ -196,9 +198,9 @@ TEST(Integration, ForcedFInterpretationShrinksTheGain) {
   plain.tasks = 50;
   sim::Scenario forced = plain;
   forced.security.table1_forced_f = true;
-  const auto r_plain = sim::run_comparison(plain, 15, 31);
-  const auto r_forced = sim::run_comparison(forced, 15, 31);
-  EXPECT_LT(r_forced.improvement_pct, r_plain.improvement_pct);
+  const auto r_plain = testing_support::run_paired_cell(plain, 15, 31);
+  const auto r_forced = testing_support::run_paired_cell(forced, 15, 31);
+  EXPECT_LT(r_forced.mean("improvement_pct"), r_plain.mean("improvement_pct"));
 }
 
 TEST(Integration, BatchIntervalAffectsFlowTimeNotCorrectness) {
@@ -209,14 +211,14 @@ TEST(Integration, BatchIntervalAffectsFlowTimeNotCorrectness) {
   fast.rms.batch_interval = 5.0;
   sim::Scenario slow = fast;
   slow.rms.batch_interval = 80.0;
-  const auto r_fast = sim::run_comparison(fast, 10, 55);
-  const auto r_slow = sim::run_comparison(slow, 10, 55);
+  const auto r_fast = testing_support::run_paired_cell(fast, 10, 55);
+  const auto r_slow = testing_support::run_paired_cell(slow, 10, 55);
   // Fewer, larger batches with the long interval.
-  EXPECT_LT(r_slow.aware.batches.mean(), r_fast.aware.batches.mean());
+  EXPECT_LT(r_slow.mean("aware.batches"), r_fast.mean("aware.batches"));
   // Both complete everything; makespans stay within a sane band of each
   // other (long intervals delay starts).
-  EXPECT_GT(r_slow.aware.makespan.mean(),
-            0.5 * r_fast.aware.makespan.mean());
+  EXPECT_GT(r_slow.mean("aware.makespan"),
+            0.5 * r_fast.mean("aware.makespan"));
 }
 
 TEST(Integration, ImprovementPersistsAcrossTrustDiversityLevels) {
@@ -229,9 +231,11 @@ TEST(Integration, ImprovementPersistsAcrossTrustDiversityLevels) {
     scenario.tasks = 50;
     scenario.grid.min_resource_domains = rds;
     scenario.grid.max_resource_domains = rds;
-    const auto result = sim::run_comparison(scenario, 20, 77);
-    EXPECT_GT(result.improvement_pct, 10.0) << rds << " resource domains";
-    EXPECT_TRUE(result.makespan_cmp.significant);
+    const lab::AggregateSet result =
+        testing_support::run_paired_cell(scenario, 20, 77);
+    EXPECT_GT(result.mean("improvement_pct"), 10.0)
+        << rds << " resource domains";
+    EXPECT_EQ(result.mean("significant"), 1.0);
   }
 }
 

@@ -1,7 +1,7 @@
 // Lab sweep engine: grid expansion, seed derivation, parallel determinism,
 // fault containment and retry, checkpoint/resume, the result cache,
-// manifest round-trips, baseline comparison gates, and the byte-identity of
-// the committed baseline manifests.
+// manifest round-trips, baseline comparison gates, the table renderers, and
+// the byte-identity of the committed baseline manifests.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -28,6 +28,7 @@
 #include "lab/engine.hpp"
 #include "lab/journal.hpp"
 #include "lab/manifest.hpp"
+#include "lab/render.hpp"
 #include "lab/spec.hpp"
 #include "obs/json_in.hpp"
 #include "obs/metrics.hpp"
@@ -343,6 +344,68 @@ TEST(CompareTest, StructuralMismatchesAreViolations) {
   Manifest rebuilt = base;
   rebuilt.git_rev = "deadbeef0123";
   EXPECT_TRUE(compare_manifests(rebuilt, base).pass);
+}
+
+// ------------------------------------------------------------ lab/render
+
+/// Two cells over a text axis and a numeric axis; the second cell lacks
+/// `improvement_pct` and holds a single-replication `makespan`.
+Manifest render_manifest() {
+  Manifest manifest;
+  manifest.spec = "render";
+  manifest.seed = 7;
+  manifest.replications = 2;
+  ManifestCell first;
+  first.index = 0;
+  first.params = {{"heuristic", ParamValue("mct")}, {"tasks", ParamValue(50)}};
+  first.metrics = {{"makespan", {12.5, 1.25, 2}},
+                   {"improvement_pct", {20.0, 0.0, 0}}};
+  ManifestCell second;
+  second.index = 1;
+  second.params = {{"heuristic", ParamValue("min-min")},
+                   {"tasks", ParamValue(100)}};
+  second.metrics = {{"makespan", {30.0, 0.5, 1}}};
+  manifest.cells = {first, second};
+  return manifest;
+}
+
+TEST(RenderTest, SweepTableHasAxisColumnsThenDisplayMetricColumns) {
+  SweepSpec spec;
+  spec.title = "Render";
+  spec.axes = {{"heuristic", {"mct", "min-min"}}, {"tasks", {50, 100}}};
+  spec.display_metrics = {"makespan", "improvement_pct"};
+  const TextTable table = sweep_table(spec, render_manifest());
+  // "± ci95" only where n >= 2; "-" where the cell lacks the metric.
+  EXPECT_EQ(table.to_csv(),
+            "heuristic,tasks,makespan,improvement_pct\n"
+            "mct,50,12.50 ± 1.25,20.00\n"
+            "min-min,100,30.00,-\n");
+  EXPECT_NE(table.to_string().find("Render (seed 7, n=2/cell)"),
+            std::string::npos);
+
+  // Without display metrics, every metric of the first cell is a column.
+  spec.display_metrics.clear();
+  EXPECT_EQ(sweep_table(spec, render_manifest()).to_csv(),
+            "heuristic,tasks,makespan,improvement_pct\n"
+            "mct,50,12.50 ± 1.25,20.00\n"
+            "min-min,100,30.00,-\n");
+}
+
+TEST(RenderTest, PaperScheduleTableRequiresThePairedMetrics) {
+  EXPECT_THROW((void)paper_schedule_table("Table X", render_manifest()),
+               PreconditionError);
+}
+
+TEST(RenderTest, PairedSummariesSkipCellsWithoutAMakespanDiff) {
+  Manifest manifest = render_manifest();
+  manifest.cells[1].metrics = {{"unaware.makespan", {200.0, 8.0, 4}},
+                               {"makespan_diff", {40.0, 10.0, 4}},
+                               {"improvement_pct", {20.0, 0.0, 0}}};
+  const std::vector<std::string> lines = paired_summaries(manifest);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines.front(),
+            "heuristic=min-min tasks=100: improvement 20.00% (95% CI "
+            "half-width 5.00%, n=4)");
 }
 
 TEST(CatalogTest, EverySpecIsRunnableAndResolvable) {

@@ -259,20 +259,6 @@ TEST(Report, ScalarAndSeriesRoundTrip) {
   EXPECT_NE(csv.find("per_round,0,1"), std::string::npos);
 }
 
-TEST(Report, MergePrefixesNames) {
-  RunReport inner;
-  inner.set("makespan", 10.0);
-  RunReport outer;
-  outer.set("tasks", 50.0);
-  outer.merge("aware", inner);
-  EXPECT_DOUBLE_EQ(outer.get("aware.makespan"), 10.0);
-  // Insertion order is preserved across the merge.
-  const std::vector<std::string> names = outer.names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "tasks");
-  EXPECT_EQ(names[1], "aware.makespan");
-}
-
 // Golden check: after a cancellation-heavy run the published des.* metrics
 // agree exactly with the Simulator's own accessors.
 TEST(SimulatorMetrics, AgreeWithAccessors) {

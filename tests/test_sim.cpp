@@ -1,4 +1,4 @@
-// Tests for the event-driven TRMS, the replicated experiment runner, and
+// Tests for the event-driven TRMS, paired experiments on the lab engine, and
 // trust evolution in the campaign round loop.
 #include <gtest/gtest.h>
 
@@ -8,6 +8,8 @@
 
 #include "chaos/behavior.hpp"
 #include "common/error.hpp"
+#include "lab/render.hpp"
+#include "paired_sweep.hpp"
 #include "sched/executor.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
@@ -16,6 +18,9 @@
 
 namespace gridtrust::sim {
 namespace {
+
+using testing_support::paired_spec;
+using testing_support::run_paired_cell;
 
 sched::SchedulingProblem make_problem(std::uint64_t seed, std::size_t n,
                                       std::size_t m, double arrival_rate,
@@ -157,47 +162,48 @@ TEST(Trms, UnknownHeuristicRejected) {
 TEST(Experiment, ReproducibleForSeed) {
   Scenario scenario;
   scenario.tasks = 30;
-  const ComparisonResult a = run_comparison(scenario, 5, 42);
-  const ComparisonResult b = run_comparison(scenario, 5, 42);
-  EXPECT_EQ(a.unaware.makespan.mean(), b.unaware.makespan.mean());
-  EXPECT_EQ(a.aware.makespan.mean(), b.aware.makespan.mean());
-  EXPECT_EQ(a.improvement_pct, b.improvement_pct);
+  const lab::AggregateSet a = run_paired_cell(scenario, 5, 42);
+  const lab::AggregateSet b = run_paired_cell(scenario, 5, 42);
+  EXPECT_EQ(a.mean("unaware.makespan"), b.mean("unaware.makespan"));
+  EXPECT_EQ(a.mean("aware.makespan"), b.mean("aware.makespan"));
+  EXPECT_EQ(a.mean("improvement_pct"), b.mean("improvement_pct"));
 }
 
 TEST(Experiment, DifferentSeedsDiffer) {
   Scenario scenario;
   scenario.tasks = 30;
-  const ComparisonResult a = run_comparison(scenario, 5, 1);
-  const ComparisonResult b = run_comparison(scenario, 5, 2);
-  EXPECT_NE(a.unaware.makespan.mean(), b.unaware.makespan.mean());
+  const lab::AggregateSet a = run_paired_cell(scenario, 5, 1);
+  const lab::AggregateSet b = run_paired_cell(scenario, 5, 2);
+  EXPECT_NE(a.mean("unaware.makespan"), b.mean("unaware.makespan"));
 }
 
 TEST(Experiment, ParallelPoolMatchesSerial) {
   Scenario scenario;
   scenario.tasks = 25;
   ThreadPool pool(3);
-  const ComparisonResult serial = run_comparison(scenario, 8, 7);
-  const ComparisonResult parallel = run_comparison(scenario, 8, 7, &pool);
-  EXPECT_EQ(serial.unaware.makespan.mean(), parallel.unaware.makespan.mean());
-  EXPECT_EQ(serial.aware.makespan.mean(), parallel.aware.makespan.mean());
+  const lab::AggregateSet serial = run_paired_cell(scenario, 8, 7);
+  const lab::AggregateSet parallel = run_paired_cell(scenario, 8, 7, &pool);
+  EXPECT_EQ(serial.mean("unaware.makespan"),
+            parallel.mean("unaware.makespan"));
+  EXPECT_EQ(serial.mean("aware.makespan"), parallel.mean("aware.makespan"));
 }
 
 TEST(Experiment, TrustAwareWinsOnAverage) {
   Scenario scenario;
   scenario.tasks = 50;
-  const ComparisonResult result = run_comparison(scenario, 20, 11);
-  EXPECT_GT(result.improvement_pct, 0.0);
-  EXPECT_LT(result.aware.makespan.mean(), result.unaware.makespan.mean());
-  EXPECT_TRUE(result.makespan_cmp.significant);
+  const lab::AggregateSet result = run_paired_cell(scenario, 20, 11);
+  EXPECT_GT(result.mean("improvement_pct"), 0.0);
+  EXPECT_LT(result.mean("aware.makespan"), result.mean("unaware.makespan"));
+  EXPECT_EQ(result.mean("significant"), 1.0);
 }
 
 TEST(Experiment, UtilizationIsHighUnderSaturation) {
   Scenario scenario;
   scenario.tasks = 100;
-  const ComparisonResult result = run_comparison(scenario, 10, 13);
-  EXPECT_GT(result.unaware.utilization_pct.mean(), 80.0);
-  EXPECT_LE(result.unaware.utilization_pct.mean(), 100.0);
-  EXPECT_GT(result.aware.utilization_pct.mean(), 80.0);
+  const lab::AggregateSet result = run_paired_cell(scenario, 10, 13);
+  EXPECT_GT(result.mean("unaware.utilization_pct"), 80.0);
+  EXPECT_LE(result.mean("unaware.utilization_pct"), 100.0);
+  EXPECT_GT(result.mean("aware.utilization_pct"), 80.0);
 }
 
 TEST(Experiment, BatchModeScenarioRuns) {
@@ -205,9 +211,9 @@ TEST(Experiment, BatchModeScenarioRuns) {
   scenario.tasks = 40;
   scenario.rms.mode = SchedulingMode::kBatch;
   scenario.rms.heuristic = "min-min";
-  const ComparisonResult result = run_comparison(scenario, 10, 17);
-  EXPECT_GT(result.improvement_pct, 0.0);
-  EXPECT_GE(result.aware.batches.mean(), 1.0);
+  const lab::AggregateSet result = run_paired_cell(scenario, 10, 17);
+  EXPECT_GT(result.mean("improvement_pct"), 0.0);
+  EXPECT_GE(result.mean("aware.batches"), 1.0);
 }
 
 TEST(Experiment, RunSingleHonorsPolicy) {
@@ -223,7 +229,7 @@ TEST(Experiment, RunSingleHonorsPolicy) {
 
 TEST(Experiment, RequiresAtLeastOneReplication) {
   Scenario scenario;
-  EXPECT_THROW(run_comparison(scenario, 0, 1), PreconditionError);
+  EXPECT_THROW(run_paired_cell(scenario, 0, 1), PreconditionError);
 }
 
 TEST(Experiment, DrawInstanceIsSelfConsistent) {
@@ -244,13 +250,15 @@ TEST(Experiment, DrawInstanceIsSelfConsistent) {
 }
 
 TEST(Experiment, PaperTableLayout) {
-  Scenario s50;
-  s50.tasks = 50;
-  Scenario s100;
-  s100.tasks = 100;
-  const ComparisonResult r50 = run_comparison(s50, 3, 1);
-  const ComparisonResult r100 = run_comparison(s100, 3, 1);
-  const TextTable table = paper_table("Table X", {r50, r100});
+  lab::SweepSpec spec = paired_spec(Scenario{}, 3, 1);
+  spec.axes = {{"tasks", {50, 100}}};
+  spec.run = [](const lab::Cell& cell, std::uint64_t rep_seed) {
+    Scenario scenario;
+    scenario.tasks = static_cast<std::size_t>(cell.number("tasks"));
+    return run_paired(scenario, rep_seed);
+  };
+  const TextTable table =
+      lab::paper_schedule_table("Table X", lab::run_sweep(spec).manifest);
   const std::string out = table.to_string();
   EXPECT_NE(out.find("Table X"), std::string::npos);
   EXPECT_NE(out.find("# of tasks"), std::string::npos);
@@ -265,8 +273,12 @@ TEST(Experiment, PaperTableLayout) {
 TEST(Experiment, SummaryMentionsHeuristicAndImprovement) {
   Scenario scenario;
   scenario.tasks = 20;
-  const ComparisonResult result = run_comparison(scenario, 5, 3);
-  const std::string s = summarize(result);
+  lab::SweepSpec spec = paired_spec(scenario, 5, 3);
+  spec.axes.insert(spec.axes.begin(), {"heuristic", {"mct"}});
+  const std::vector<std::string> lines =
+      lab::paired_summaries(lab::run_sweep(spec).manifest);
+  ASSERT_EQ(lines.size(), 1u);
+  const std::string& s = lines.front();
   EXPECT_NE(s.find("mct"), std::string::npos);
   EXPECT_NE(s.find("improvement"), std::string::npos);
   EXPECT_NE(s.find("n=5"), std::string::npos);
@@ -338,9 +350,9 @@ TEST(ScenarioBuilder, RejectsInvalidCombinations) {
 TEST(ScenarioBuilder, BuiltScenarioRunsEndToEnd) {
   const Scenario s =
       ScenarioBuilder().tasks(10).machines(3).heuristic("mct").build();
-  const ComparisonResult result = run_comparison(s, 2, 11);
-  EXPECT_EQ(result.replications, 2u);
-  EXPECT_GT(result.aware.makespan.mean(), 0.0);
+  const lab::AggregateSet result = run_paired_cell(s, 2, 11);
+  EXPECT_EQ(result.get("aware.makespan").n, 2u);
+  EXPECT_GT(result.mean("aware.makespan"), 0.0);
 }
 
 TEST(RunReport, SimulationResultReportsScalars) {
@@ -355,17 +367,22 @@ TEST(RunReport, SimulationResultReportsScalars) {
 }
 
 TEST(RunReport, ComparisonResultReportsBothArms) {
+  // One paired unit reports both arms and their difference; a paired sweep
+  // aggregates every one of those keys over its replications.
   Scenario scenario;
   scenario.tasks = 10;
-  const ComparisonResult result = run_comparison(scenario, 3, 5);
-  const obs::RunReport report = result.report();
-  EXPECT_DOUBLE_EQ(report.get("replications"), 3.0);
-  EXPECT_DOUBLE_EQ(report.get("unaware.makespan"),
-                   result.unaware.makespan.mean());
-  EXPECT_DOUBLE_EQ(report.get("aware.makespan"),
-                   result.aware.makespan.mean());
-  EXPECT_DOUBLE_EQ(report.get("improvement_pct"), result.improvement_pct);
-  EXPECT_TRUE(report.has("makespan_cmp.ci95_diff"));
+  const obs::RunReport report = run_paired(scenario, 5);
+  EXPECT_DOUBLE_EQ(report.get("makespan_diff"),
+                   report.get("unaware.makespan") -
+                       report.get("aware.makespan"));
+  const lab::AggregateSet result = run_paired_cell(scenario, 3, 5);
+  for (const std::string& name : report.names()) {
+    EXPECT_EQ(result.get(name).n, 3u) << name;
+  }
+  EXPECT_DOUBLE_EQ(result.mean("improvement_pct"),
+                   result.mean("makespan_diff") /
+                       result.mean("unaware.makespan") * 100.0);
+  EXPECT_GT(result.get("makespan_diff").ci95, 0.0);
 }
 
 // ------------------------------------------------------------- closed loop
