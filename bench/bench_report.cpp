@@ -19,7 +19,6 @@
 #include "net/report.hpp"
 #include "obs/export.hpp"
 #include "sfi/harness.hpp"
-#include "support.hpp"
 #include "trust/ets.hpp"
 
 int main(int argc, char** argv) {
@@ -87,12 +86,11 @@ int main(int argc, char** argv) {
 
   std::cout << "## Headline improvements\n\n";
   for (const auto& [spec, manifest] : tables) {
-    std::cout << "- " << spec->title << ": ";
-    for (const lab::ManifestCell& cell : manifest.cells) {
-      if (cell.index > 0) std::cout << " / ";
-      std::cout << format_percent(bench::metric(cell, "improvement_pct").mean);
+    std::cout << "- " << spec->title << " (expected: " << spec->expected
+              << ")\n";
+    for (const std::string& line : lab::paired_summaries(manifest)) {
+      std::cout << "  - " << line << "\n";
     }
-    std::cout << " (expected: " << spec->expected << ")\n";
   }
   std::cout << "\n";
   if (!out_dir.empty()) {

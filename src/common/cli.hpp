@@ -16,11 +16,11 @@ namespace gridtrust {
 
 /// Declarative flag parser.  Usage:
 ///
-///   CliParser cli("bench_table4", "Reproduces Table 4");
-///   cli.add_int("replications", 40, "independent simulation replications");
+///   CliParser cli("bench_sfi_overhead", "Reproduces the SFI study of §5.1");
+///   cli.add_uint("repetitions", 5, "timing repetitions (best-of)");
 ///   cli.add_flag("csv", "emit CSV instead of an ASCII table");
 ///   cli.parse(argc, argv);           // exits(0) on --help, throws on errors
-///   int reps = cli.get_int("replications");
+///   std::uint64_t reps = cli.get_uint("repetitions");
 class CliParser {
  public:
   CliParser(std::string program, std::string description);

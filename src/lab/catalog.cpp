@@ -2,13 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
+#include "sched/heuristic.hpp"
 #include "sched/problem.hpp"
 #include "sim/campaign.hpp"
+#include "sim/distributed.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
+#include "sim/staging.hpp"
 #include "sim/trm_simulation.hpp"
 
 namespace gridtrust::lab {
@@ -379,8 +385,8 @@ SweepSpec deadlines_spec() {
                    "slack x best EEC)";
   spec.expected = "the security-overhead reduction converts into met "
                   "deadlines at every slack band";
-  // Band [lo, 2 x lo] reproduces bench_deadlines' {4,8} {8,16} {16,32}
-  // {32,64} slack ranges as a single numeric axis.
+  // Band [lo, 2 x lo] gives the slack ranges {4,8} {8,16} {16,32} {32,64}
+  // as a single numeric axis.
   spec.axes = {{"slack_lo", {4, 8, 16, 32}}};
   spec.replications = 25;
   spec.run = [](const Cell& cell, std::uint64_t rep_seed) {
@@ -453,6 +459,373 @@ SweepSpec smoke_spec() {
   return spec;
 }
 
+/// A paired sweep of 50 replications per cell: every unit runs
+/// sim::run_paired on `scenario(cell)`, and finalize_paired derives
+/// `improvement_pct` and `significant`.
+SweepSpec paired_sweep_spec(
+    std::string name, std::vector<Axis> axes,
+    std::function<sim::Scenario(const Cell&)> scenario) {
+  SweepSpec spec;
+  spec.name = std::move(name);
+  spec.axes = std::move(axes);
+  spec.replications = 50;
+  spec.run = [scenario = std::move(scenario)](const Cell& cell,
+                                              std::uint64_t rep_seed) {
+    return sim::run_paired(scenario(cell), rep_seed);
+  };
+  spec.finalize = finalize_paired;
+  spec.display_metrics = {"unaware.makespan", "aware.makespan",
+                          "improvement_pct", "significant"};
+  return spec;
+}
+
+/// The `scale` spec's grid points, indexed by its `point` axis.
+struct ScalePoint {
+  std::size_t machines;
+  std::size_t max_rd;
+  std::size_t tasks;
+};
+constexpr ScalePoint kScalePoints[] = {
+    {2, 2, 50},   {5, 4, 50},    {5, 4, 100},  {8, 6, 200},
+    {16, 8, 400}, {32, 12, 800}, {64, 16, 1600}};
+
+SweepSpec scale_spec() {
+  Axis point{"point", {}};
+  for (std::size_t i = 0; i < std::size(kScalePoints); ++i) {
+    point.values.emplace_back(static_cast<double>(i));
+  }
+  SweepSpec spec = paired_sweep_spec("scale", {point}, [](const Cell& cell) {
+    const ScalePoint& pt =
+        kScalePoints[static_cast<std::size_t>(cell.number("point"))];
+    return sim::ScenarioBuilder()
+        .tasks(pt.tasks)
+        .machines(pt.machines)
+        .resource_domains(std::min<std::size_t>(2, pt.max_rd), pt.max_rd)
+        // Arrivals scale with the machine count to keep the Grid saturated.
+        .arrival_rate(static_cast<double>(pt.machines) / 5.0)
+        .build();
+  });
+  spec.title = "Scale sweep: trust-aware advantage vs Grid and workload "
+               "size (MCT, inconsistent LoLo)";
+  spec.paper_ref = "scale extension of Tables 4-9 (points: 2-64 machines, "
+                   "RD ranges [2,2]-[2,16], 50-1600 tasks)";
+  spec.expected = "the advantage persists essentially unchanged as the Grid "
+                  "and workload scale up";
+  return spec;
+}
+
+SweepSpec diversity_spec() {
+  SweepSpec spec = paired_sweep_spec(
+      "diversity", {{"resource_domains", {1, 2, 3, 4, 5}}},
+      [](const Cell& cell) {
+        const auto rds =
+            static_cast<std::size_t>(cell.number("resource_domains"));
+        return sim::ScenarioBuilder().resource_domains(rds, rds).build();
+      });
+  spec.title = "Trust diversity series: improvement vs resource-domain "
+               "count (5 machines, MCT, inconsistent LoLo, 50 tasks)";
+  spec.paper_ref = "trust-diversity extension of Tables 4-9 (§5.3 draws "
+                   "#RD ~ U[1,4])";
+  spec.expected = "the series is flat: under LoLo heterogeneity the "
+                  "advantage comes from the pricing gap and consistent "
+                  "decision units, not from trust-based placement freedom";
+  return spec;
+}
+
+SweepSpec surface_spec() {
+  SweepSpec spec = paired_sweep_spec(
+      "ablation_surface",
+      {{"tc_weight", {0, 5, 10, 15, 20, 30}},
+       {"blanket", {10, 25, 50, 75, 100}}},
+      [](const Cell& cell) {
+        return sim::ScenarioBuilder()
+            .tc_weight_pct(cell.number("tc_weight"))
+            .blanket_pct(cell.number("blanket"))
+            .build();
+      });
+  spec.title = "ESC pricing surface: improvement over (TC weight, blanket "
+               "rate) (MCT, inconsistent LoLo, 50 tasks)";
+  spec.paper_ref = "§4 ESC model (the paper picks weight 15 / blanket 50 "
+                   "\"arbitrarily\")";
+  spec.expected = "trust awareness pays whenever typical TC pricing "
+                  "undercuts the blanket rate; the diagonal where weight x "
+                  "E[TC] ~ blanket is the break-even ridge";
+  spec.display_metrics = {"improvement_pct", "significant"};
+  return spec;
+}
+
+SweepSpec all_heuristics_spec() {
+  // The four heterogeneity x consistency classes, keyed by their labels.
+  std::vector<std::pair<std::string, workload::HeterogeneityParams>> classes;
+  Axis class_axis{"class", {}};
+  for (const auto consistency : {workload::Consistency::kInconsistent,
+                                 workload::Consistency::kConsistent}) {
+    for (const auto task :
+         {workload::Heterogeneity::kLow, workload::Heterogeneity::kHigh}) {
+      workload::HeterogeneityParams params;
+      params.consistency = consistency;
+      params.task = task;
+      classes.emplace_back(workload::to_string(params), params);
+      class_axis.values.emplace_back(classes.back().first);
+    }
+  }
+  // Immediate-mode heuristics first, then the batch mappers.
+  const std::vector<std::string> batch = sched::batch_heuristic_names();
+  Axis heuristic_axis{"heuristic", {}};
+  for (const std::string& name : sched::immediate_heuristic_names()) {
+    heuristic_axis.values.emplace_back(name);
+  }
+  for (const std::string& name : batch) {
+    heuristic_axis.values.emplace_back(name);
+  }
+  SweepSpec spec = paired_sweep_spec(
+      "all_heuristics", {class_axis, heuristic_axis},
+      [classes, batch](const Cell& cell) {
+        const std::string& heuristic = cell.text("heuristic");
+        sim::ScenarioBuilder builder;
+        builder.heuristic(heuristic);
+        for (const auto& [label, params] : classes) {
+          if (label == cell.text("class")) builder.heterogeneity(params);
+        }
+        if (std::find(batch.begin(), batch.end(), heuristic) != batch.end()) {
+          builder.batch(30.0);
+        }
+        return builder.build();
+      });
+  spec.title = "Full heuristic suite, trust-unaware vs trust-aware, across "
+               "four heterogeneity classes (50 tasks)";
+  spec.paper_ref = "the heuristic family of Maheswaran et al. [10]; the "
+                   "paper evaluates only MCT, Min-min and Sufferage";
+  spec.expected = "the trust integration composes with the whole family: "
+                  "trust-aware wins significantly in every class for "
+                  "every heuristic";
+  return spec;
+}
+
+SweepSpec interpretation_ablation_spec() {
+  SweepSpec spec = paired_sweep_spec(
+      "ablation_interpretation",
+      {{"iid_table", {0, 1}},
+       {"forced_f", {0, 1}},
+       {"heuristic", {"mct", "min-min", "sufferage"}}},
+      [](const Cell& cell) {
+        sim::ScenarioBuilder builder;
+        builder
+            .table_correlation(
+                cell.number("iid_table") != 0.0
+                    ? workload::TableCorrelation::kIndependentPerActivity
+                    : workload::TableCorrelation::kPairLevel)
+            .forced_f(cell.number("forced_f") != 0.0)
+            .heuristic(cell.text("heuristic"));
+        if (cell.text("heuristic") != "mct") builder.batch(30.0);
+        return builder.build();
+      });
+  spec.title = "Model-interpretation ablation: trust-table structure x "
+               "Table 1 row-F reading (inconsistent LoLo, 50 tasks)";
+  spec.paper_ref = "DESIGN.md interpretation choices (pair-level trust "
+                   "table, clamped Table 1 row F)";
+  spec.expected = "both stricter readings lower the offered trust (or raise "
+                  "forced supplements) and shrink the improvement; the "
+                  "defaults match the paper's numbers best";
+  spec.display_metrics = {"improvement_pct", "aware.makespan", "significant"};
+  return spec;
+}
+
+/// The arms of the security-policy ablation: unaware placement at blanket
+/// price (the paper's baseline), unaware placement at TC price (cheaper
+/// security only), aware placement at blanket price (placement cannot
+/// help), aware placement at TC price (the paper's treatment).
+const std::vector<std::pair<std::string, sched::SchedulingPolicy>>&
+security_policy_arms() {
+  static const std::vector<std::pair<std::string, sched::SchedulingPolicy>>
+      arms = {{"unaware", sched::trust_unaware_policy()},
+              {"tc_priced", sched::unaware_placement_tc_priced_policy()},
+              {"blanket_priced",
+               sched::aware_placement_blanket_priced_policy()},
+              {"aware", sched::trust_aware_policy()}};
+  return arms;
+}
+
+SweepSpec security_policy_ablation_spec() {
+  SweepSpec spec;
+  spec.name = "ablation_security_policy";
+  spec.title = "Security-policy ablation: cheaper security vs smarter "
+               "placement (MCT, inconsistent LoLo)";
+  spec.paper_ref = "§4 ESC model: decomposes the Table 4 gain";
+  spec.expected = "tc_priced isolates the cheaper-security effect; the gap "
+                  "between tc_priced and aware is the placement effect";
+  // tasks=50 hashes like table4's first cell, so the units draw its
+  // instances and the unaware/aware arms equal its makespans.
+  spec.axes = {{"tasks", {50}}};
+  spec.replications = 50;
+  spec.run = [](const Cell& cell, std::uint64_t rep_seed) {
+    const sim::Scenario scenario =
+        sim::ScenarioBuilder()
+            .tasks(static_cast<std::size_t>(cell.number("tasks")))
+            .build();
+    Rng rng(rep_seed);
+    const sim::Instance instance =
+        sim::draw_instance(scenario, sched::trust_unaware_policy(), rng);
+    obs::RunReport report;
+    for (const auto& [arm, policy] : security_policy_arms()) {
+      const sim::SimulationResult run =
+          sim::run_trms(instance.problem.with_policy(policy), scenario.rms);
+      report.set(arm + ".makespan", run.makespan);
+      report.set(arm + ".utilization_pct", run.utilization_pct);
+    }
+    return report;
+  };
+  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
+    const double base = aggregate.mean("unaware.makespan");
+    for (const auto& [arm, policy] : security_policy_arms()) {
+      if (arm == "unaware") continue;
+      aggregate.set_derived(
+          arm + ".vs_unaware_pct",
+          percent_improvement(base, aggregate.mean(arm + ".makespan")));
+    }
+  };
+  spec.display_metrics = {"unaware.makespan", "tc_priced.makespan",
+                          "blanket_priced.makespan", "aware.makespan",
+                          "tc_priced.vs_unaware_pct",
+                          "blanket_priced.vs_unaware_pct",
+                          "aware.vs_unaware_pct"};
+  return spec;
+}
+
+SweepSpec theorem_check_spec() {
+  SweepSpec spec;
+  spec.name = "theorem_check";
+  spec.title = "§5.2 makespan dominance, checked per instance "
+               "(inconsistent LoLo, 50 tasks)";
+  spec.paper_ref = "§5.2 \"theorem\": a trust-aware scheduler's makespan is "
+                   "always <= the trust-unaware one's";
+  spec.expected = "aware <= unaware in the vast majority of instances but "
+                  "not in all: for heuristic schedulers the claim is a "
+                  "strong statistical regularity, not a per-instance "
+                  "theorem; the mean improvement is significant everywhere";
+  spec.axes = {{"heuristic",
+                {"mct", "olb", "min-min", "max-min", "sufferage", "duplex"}}};
+  spec.replications = 50;
+  spec.run = [](const Cell& cell, std::uint64_t rep_seed) {
+    const std::string& heuristic = cell.text("heuristic");
+    sim::ScenarioBuilder builder;
+    builder.heuristic(heuristic);
+    if (heuristic != "mct" && heuristic != "olb") builder.batch(30.0);
+    obs::RunReport report = sim::run_paired(builder.build(), rep_seed);
+    const double unaware = report.get("unaware.makespan");
+    const double aware = report.get("aware.makespan");
+    report.set("dominates", aware <= unaware ? 1.0 : 0.0);
+    report.set("violation_pct",
+               std::max(0.0, aware - unaware) / unaware * 100.0);
+    return report;
+  };
+  spec.finalize = finalize_paired;
+  spec.display_metrics = {"dominates", "violation_pct", "improvement_pct",
+                          "significant"};
+  return spec;
+}
+
+SweepSpec distributed_spec() {
+  SweepSpec spec;
+  spec.name = "distributed";
+  spec.title = "Central vs per-domain trust-aware MCT schedulers across "
+               "view-sync intervals (100 tasks)";
+  spec.paper_ref = "§4.1 assumption (a): a centrally organized scheduler";
+  spec.expected = "moderate sync is the worst: after each sync every "
+                  "domain herds onto the same least-loaded machines; never "
+                  "syncing avoids the herd but its completion estimates are "
+                  "badly wrong; the central RMS sidesteps both";
+  spec.axes = {{"sync_interval", {5, 30, 120, 0}}};  // 0 = never
+  spec.replications = 50;
+  spec.run = [](const Cell& cell, std::uint64_t rep_seed) {
+    const sim::Scenario scenario = sim::ScenarioBuilder().tasks(100).build();
+    Rng rng(rep_seed);
+    const sim::Instance instance =
+        sim::draw_instance(scenario, sched::trust_aware_policy(), rng);
+    const sim::SimulationResult central =
+        sim::run_trms(instance.problem, scenario.rms);
+    // Each request goes to its originating client domain's scheduler.
+    std::vector<grid::ClientDomainId> owner;
+    owner.reserve(instance.requests.size());
+    for (const grid::Request& r : instance.requests) {
+      owner.push_back(r.client_domain);
+    }
+    sim::DistributedConfig config;
+    config.sync_interval = cell.number("sync_interval");
+    const sim::DistributedResult distributed =
+        sim::run_distributed(instance.problem, owner, config);
+    obs::RunReport report;
+    report.set("central.makespan", central.makespan);
+    report.set("distributed.makespan", distributed.makespan);
+    report.set("distributed.mean_decision_error",
+               distributed.mean_decision_error);
+    return report;
+  };
+  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
+    const double central = aggregate.mean("central.makespan");
+    aggregate.set_derived(
+        "vs_central_pct",
+        -percent_improvement(central, aggregate.mean("distributed.makespan")));
+  };
+  spec.display_metrics = {"central.makespan", "distributed.makespan",
+                          "vs_central_pct",
+                          "distributed.mean_decision_error"};
+  return spec;
+}
+
+/// The `staging` spec's input-data bands, keyed by their `input_mb` label:
+/// each request's input volume is drawn from U[lo, hi] MB.
+struct InputBand {
+  const char* label;
+  double lo;
+  double hi;
+};
+constexpr InputBand kInputBands[] = {{"0", 0, 0},
+                                     {"25-100", 25, 100},
+                                     {"100-400", 100, 400},
+                                     {"400-1600", 400, 1600},
+                                     {"1600-4000", 1600, 4000}};
+
+SweepSpec staging_spec() {
+  SweepSpec spec;
+  spec.name = "staging";
+  spec.title = "Data staging: improvement vs input-data volume and WAN "
+               "speed (MCT, inconsistent LoLo, 50 tasks)";
+  spec.paper_ref = "§5.1 transfer study (Tables 2-3) fused into the TRMS";
+  spec.expected = "at light data volumes staging is second-order and the "
+                  "gain stays near the unstaged one; once transfers rival "
+                  "execution times the trust-adaptive rcp/scp choice and "
+                  "staging-aware placement raise it, and the absolute gap "
+                  "widens with data volume";
+  Axis input{"input_mb", {}};
+  for (const InputBand& band : kInputBands) {
+    input.values.emplace_back(band.label);
+  }
+  spec.axes = {input, {"wan_mbps", {100, 1000}}};
+  spec.replications = 50;
+  spec.run = [](const Cell& cell, std::uint64_t rep_seed) {
+    const InputBand* band = nullptr;
+    for (const InputBand& b : kInputBands) {
+      if (cell.text("input_mb") == b.label) band = &b;
+    }
+    GT_REQUIRE(band != nullptr, "unknown input band " + cell.text("input_mb"));
+    return sim::run_staged_paired(sim::ScenarioBuilder().build(), band->lo,
+                                  band->hi, cell.number("wan_mbps"),
+                                  rep_seed);
+  };
+  spec.finalize = [](const Cell& cell, AggregateSet& aggregate) {
+    finalize_paired(cell, aggregate);
+    const double base = aggregate.mean("plain.unaware.makespan");
+    aggregate.set_derived(
+        "plain.improvement_pct",
+        base > 0.0 ? aggregate.mean("plain.makespan_diff") / base * 100.0
+                   : 0.0);
+  };
+  spec.display_metrics = {"unaware.makespan", "aware.makespan",
+                          "improvement_pct", "plain.improvement_pct"};
+  return spec;
+}
+
 std::vector<SweepSpec> build_catalog() {
   std::vector<SweepSpec> specs;
   specs.push_back(paper_table_spec("4", "mct", false, false,
@@ -477,6 +850,17 @@ std::vector<SweepSpec> build_catalog() {
   specs.push_back(smoke_spec());
   specs.push_back(smoke_backends_spec());
   specs.push_back(smoke_econ_spec());
+  // The static-instance studies, appended so that the specs above keep
+  // their positions.
+  specs.push_back(scale_spec());
+  specs.push_back(diversity_spec());
+  specs.push_back(surface_spec());
+  specs.push_back(all_heuristics_spec());
+  specs.push_back(interpretation_ablation_spec());
+  specs.push_back(security_policy_ablation_spec());
+  specs.push_back(theorem_check_spec());
+  specs.push_back(distributed_spec());
+  specs.push_back(staging_spec());
   return specs;
 }
 
@@ -504,7 +888,10 @@ const std::vector<std::pair<std::string, std::vector<std::string>>>& suites() {
         out.emplace_back("ablations", std::vector<std::string>{
                                           "ablation_trust_weight",
                                           "ablation_blanket",
-                                          "ablation_batch_interval"});
+                                          "ablation_batch_interval",
+                                          "ablation_surface",
+                                          "ablation_interpretation",
+                                          "ablation_security_policy"});
         out.emplace_back("markets",
                          std::vector<std::string>{"market_tournament",
                                                   "deadlines", "smoke_econ"});

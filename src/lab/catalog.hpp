@@ -1,11 +1,15 @@
 // The registered experiment catalog.
 //
-// Every named sweep the `gridtrust_lab` CLI (and the bench binaries built
-// on it) can run is declared here: the six paper schedule tables, the chaos
-// robustness sweep, the ESC-pricing and batch-interval ablations, the
-// tournaments, and the CI smoke specs.  Each entry in this registry has a
-// matching section in docs/experiments-catalog.md — keep the two in sync
-// (CONTRIBUTING.md, "Adding an experiment").
+// Every named sweep the `gridtrust_lab` CLI runs is declared here: the six
+// paper schedule tables, the chaos robustness sweep, the ablations (ESC
+// pricing, batch interval, pricing surface, model interpretation, security
+// policy), the tournaments and deadlines, the CI smoke specs, and the
+// static-instance extension studies (scale, trust diversity, the full
+// heuristic family, the §5.2 theorem check, distributed schedulers, data
+// staging).  `bench_report` and perfbench run the table specs from here.
+// Each entry in this registry has a matching section in
+// docs/experiments-catalog.md — keep the two in sync (CONTRIBUTING.md,
+// "Adding an experiment").
 #pragma once
 
 #include <string>
@@ -23,7 +27,8 @@ const std::vector<SweepSpec>& builtin_specs();
 const SweepSpec* find_spec(const std::string& name);
 
 /// Named suites (groups of spec names): "tables" is the six-table paper
-/// suite, "ablations" the ablation sweeps, "all" everything registered.
+/// suite, "ablations" the six ablation sweeps, "markets" the economy
+/// specs, "all" everything registered.
 const std::vector<std::pair<std::string, std::vector<std::string>>>& suites();
 
 /// The finalize hook of every paired sweep (one whose units are

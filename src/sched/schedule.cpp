@@ -49,19 +49,6 @@ double Schedule::mean_flow_time(const SchedulingProblem& p) const {
   return n == 0 ? 0.0 : total / static_cast<double>(n);
 }
 
-double mean_trust_cost(const Schedule& schedule, const TrustCostMatrix& tc) {
-  GT_REQUIRE(schedule.machine_of.size() == tc.rows(),
-             "schedule does not match the trust-cost matrix");
-  if (schedule.machine_of.empty()) return 0.0;
-  double total = 0.0;
-  for (std::size_t r = 0; r < schedule.machine_of.size(); ++r) {
-    const std::size_t m = schedule.machine_of[r];
-    GT_REQUIRE(m != kUnassigned, "mean_trust_cost needs a complete schedule");
-    total += static_cast<double>(tc.get(r, m));
-  }
-  return total / static_cast<double>(schedule.machine_of.size());
-}
-
 void commit_assignment(const SchedulingProblem& p, std::size_t r,
                        std::size_t m, double ready, Schedule& schedule) {
   GT_REQUIRE(r < p.num_requests(), "request index out of range");

@@ -50,11 +50,4 @@ struct Schedule {
 void commit_assignment(const SchedulingProblem& p, std::size_t r,
                        std::size_t m, double ready, Schedule& schedule);
 
-/// Mean trust cost of a complete schedule's placements: the average of
-/// tc(r, machine_of[r]) over all requests.  The robustness metric used to
-/// compare how much hostile trust exposure different policies accept;
-/// evaluating against a table built from *true* conduct prices what the
-/// placements actually risk rather than what the scheduler believed.
-double mean_trust_cost(const Schedule& schedule, const TrustCostMatrix& tc);
-
 }  // namespace gridtrust::sched

@@ -13,6 +13,8 @@ namespace {
 const obs::Histogram kDrawInstanceNs("sim.draw_instance_ns",
                                      obs::duration_bounds_ns());
 
+}  // namespace
+
 void report_arm(obs::RunReport& out, const std::string& prefix,
                 const SimulationResult& run) {
   out.set(prefix + ".makespan", run.makespan);
@@ -21,8 +23,6 @@ void report_arm(obs::RunReport& out, const std::string& prefix,
   out.set(prefix + ".flow_time_p95", run.flow_time_p95);
   out.set(prefix + ".batches", static_cast<double>(run.batches));
 }
-
-}  // namespace
 
 Instance draw_instance(const Scenario& scenario,
                        const sched::SchedulingPolicy& policy, Rng& rng) {
@@ -53,12 +53,6 @@ Instance draw_instance(const Scenario& scenario,
                                    model, std::move(arrivals));
   return Instance{std::move(grid), std::move(table), std::move(requests),
                   std::move(problem), faults};
-}
-
-SimulationResult run_single(const Scenario& scenario,
-                            const sched::SchedulingPolicy& policy, Rng rng) {
-  const Instance instance = draw_instance(scenario, policy, rng);
-  return run_trms(instance.problem, scenario.rms);
 }
 
 obs::RunReport run_paired(const Scenario& scenario, std::uint64_t rep_seed) {

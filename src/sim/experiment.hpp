@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "chaos/config.hpp"
@@ -59,9 +60,10 @@ struct Scenario {
 };
 
 /// One fully drawn instance: topology, trust table, requests, and the
-/// scheduling problem bound to a policy.  Exposed so ablation benches and
-/// alternative schedulers (e.g. sim::run_distributed) can reuse the exact
-/// §5.3 instance-drawing procedure.
+/// scheduling problem bound to a policy.  Exposed so catalog units that
+/// rebind the policy (`ablation_security_policy`), attach staging
+/// (sim::run_staged_paired) or run another scheduler on it (`distributed`,
+/// sim::run_distributed) reuse the exact §5.3 instance-drawing procedure.
 struct Instance {
   grid::GridSystem grid;
   trust::TrustLevelTable table;
@@ -77,10 +79,10 @@ struct Instance {
 Instance draw_instance(const Scenario& scenario,
                        const sched::SchedulingPolicy& policy, Rng& rng);
 
-/// Runs a single replication with explicit policies; exposed for tests and
-/// ablation benches that want non-paper policy combinations.
-SimulationResult run_single(const Scenario& scenario,
-                            const sched::SchedulingPolicy& policy, Rng rng);
+/// Reports one arm of a run as `<prefix>.makespan`, `.utilization_pct`,
+/// `.mean_flow_time`, `.flow_time_p95` and `.batches`, in that order.
+void report_arm(obs::RunReport& out, const std::string& prefix,
+                const SimulationResult& run);
 
 /// One paired replication on common random numbers: draws one instance
 /// from `rep_seed`, then runs it trust-unaware and trust-aware.  Reports

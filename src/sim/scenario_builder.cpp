@@ -123,11 +123,6 @@ ScenarioBuilder& ScenarioBuilder::with_faults(
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::with_campaign(chaos::CampaignConfig config) {
-  scenario_.chaos = std::move(config);
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::with_reputation_backend(
     std::string name, std::map<std::string, double> params) {
   scenario_.reputation.name = std::move(name);

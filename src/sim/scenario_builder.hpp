@@ -49,10 +49,10 @@ class ScenarioBuilder {
   /// Batch mode with the given meta-request formation interval (seconds).
   ScenarioBuilder& batch(double interval = 30.0);
 
-  /// Consistent LoLo EEC heterogeneity (Tables 4, 6, 8).
+  /// Consistent LoLo EEC heterogeneity (Tables 5, 7, 9).
   ScenarioBuilder& consistent();
 
-  /// Inconsistent LoLo EEC heterogeneity (Tables 5, 7, 9; the default).
+  /// Inconsistent LoLo EEC heterogeneity (Tables 4, 6, 8; the default).
   ScenarioBuilder& inconsistent();
 
   /// Full heterogeneity control for non-paper workload classes.
@@ -79,10 +79,6 @@ class ScenarioBuilder {
 
   /// Appends fault windows to the scenario's chaos campaign.
   ScenarioBuilder& with_faults(const std::vector<chaos::FaultSpec>& faults);
-
-  /// Replaces the whole chaos campaign config (adversaries + faults +
-  /// crash penalty) in one call.
-  ScenarioBuilder& with_campaign(chaos::CampaignConfig config);
 
   /// Selects the reputation backend forming trust in closed-loop campaigns
   /// ("gamma", "beta", "fuzzy", "purge:<base>"; see

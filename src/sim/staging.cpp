@@ -69,4 +69,48 @@ void attach_staging(sched::SchedulingProblem& problem,
   problem.set_extra_costs(std::move(decision), std::move(actual));
 }
 
+obs::RunReport run_staged_paired(const Scenario& scenario, double min_mb,
+                                 double max_mb, double wan_mbps,
+                                 std::uint64_t rep_seed) {
+  GT_REQUIRE(wan_mbps == 100.0 || wan_mbps == 1000.0,
+             "staging WAN must be 100 or 1000 Mbps");
+  const net::LinkProfile link = wan_mbps == 1000.0
+                                    ? net::gigabit_ethernet_link()
+                                    : net::fast_ethernet_link();
+  const net::TransferModel wan(net::piii_866_host(link), link);
+
+  Rng rng(rep_seed);
+  const Instance instance =
+      draw_instance(scenario, sched::trust_unaware_policy(), rng);
+  const std::vector<double> inputs =
+      draw_input_sizes(instance.requests.size(), min_mb, max_mb, rng);
+  // Trust costs for the staging decision mirror the instance's.
+  const sched::SecurityCostModel model(scenario.security);
+  const sched::TrustCostMatrix tc = sched::compute_trust_costs(
+      instance.grid, instance.requests, instance.table, model);
+  const StagingCosts staging = compute_staging_costs(
+      instance.grid, instance.requests, inputs, tc, wan);
+
+  const sched::SchedulingProblem aware_problem =
+      instance.problem.with_policy(sched::trust_aware_policy());
+  sched::SchedulingProblem staged_unaware = instance.problem;
+  attach_staging(staged_unaware, staging);
+  sched::SchedulingProblem staged_aware = aware_problem;
+  attach_staging(staged_aware, staging);
+
+  const SimulationResult unaware = run_trms(staged_unaware, scenario.rms);
+  const SimulationResult aware = run_trms(staged_aware, scenario.rms);
+  const double plain_unaware =
+      run_trms(instance.problem, scenario.rms).makespan;
+  const double plain_aware = run_trms(aware_problem, scenario.rms).makespan;
+  obs::RunReport report;
+  report_arm(report, "unaware", unaware);
+  report_arm(report, "aware", aware);
+  report.set("makespan_diff", unaware.makespan - aware.makespan);
+  report.set("plain.unaware.makespan", plain_unaware);
+  report.set("plain.aware.makespan", plain_aware);
+  report.set("plain.makespan_diff", plain_unaware - plain_aware);
+  return report;
+}
+
 }  // namespace gridtrust::sim

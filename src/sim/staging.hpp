@@ -14,13 +14,16 @@
 // within the client's own Grid domain are local (no WAN hop, no cost).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "grid/grid_system.hpp"
 #include "grid/request.hpp"
 #include "net/transfer_model.hpp"
+#include "obs/report.hpp"
 #include "sched/matrix.hpp"
 #include "sched/problem.hpp"
+#include "sim/experiment.hpp"
 
 namespace gridtrust::sim {
 
@@ -56,5 +59,17 @@ StagingCosts compute_staging_costs(const grid::GridSystem& grid,
 /// policies and conservative otherwise.
 void attach_staging(sched::SchedulingProblem& problem,
                     const StagingCosts& staging);
+
+/// One paired replication with input-data staging, the unit of the
+/// `staging` catalog spec.  Draws one instance from `rep_seed`, then each
+/// request's input volume ~ U[min_mb, max_mb] from the same stream, and
+/// stages over a `wan_mbps` WAN (100 or 1000: the links of Tables 2-3).
+/// Reports the staged arms as sim::run_paired does (`unaware.*`,
+/// `aware.*`, `makespan_diff`), then the same instance without staging as
+/// `plain.unaware.makespan`, `plain.aware.makespan` and
+/// `plain.makespan_diff`.
+obs::RunReport run_staged_paired(const Scenario& scenario, double min_mb,
+                                 double max_mb, double wan_mbps,
+                                 std::uint64_t rep_seed);
 
 }  // namespace gridtrust::sim

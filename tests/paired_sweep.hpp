@@ -17,9 +17,9 @@ namespace gridtrust::testing_support {
 
 /// The one-cell spec: `replications` sim::run_paired units of `scenario`
 /// under master seed `seed`, finalized by lab::finalize_paired.
-inline lab::SweepSpec paired_spec(const sim::Scenario& scenario,
-                                  std::size_t replications,
-                                  std::uint64_t seed) {
+inline lab::SweepSpec one_cell_paired_spec(const sim::Scenario& scenario,
+                                           std::size_t replications,
+                                           std::uint64_t seed) {
   lab::SweepSpec spec;
   spec.name = "paired";
   spec.axes = {{"tasks", {static_cast<double>(scenario.tasks)}}};
@@ -32,8 +32,8 @@ inline lab::SweepSpec paired_spec(const sim::Scenario& scenario,
   return spec;
 }
 
-/// Runs paired_spec on the engine (serially, or on `pool`) and returns the
-/// cell's aggregates: `unaware.*`, `aware.*`, `makespan_diff`,
+/// Runs one_cell_paired_spec on the engine (serially, or on `pool`) and
+/// returns the cell's aggregates: `unaware.*`, `aware.*`, `makespan_diff`,
 /// `improvement_pct` and `significant`.
 inline lab::AggregateSet run_paired_cell(const sim::Scenario& scenario,
                                          std::size_t replications,
@@ -41,8 +41,8 @@ inline lab::AggregateSet run_paired_cell(const sim::Scenario& scenario,
                                          ThreadPool* pool = nullptr) {
   lab::EngineOptions options;
   options.pool = pool;
-  const lab::SweepRun run =
-      lab::run_sweep(paired_spec(scenario, replications, seed), options);
+  const lab::SweepRun run = lab::run_sweep(
+      one_cell_paired_spec(scenario, replications, seed), options);
   lab::AggregateSet cell;
   for (const auto& [name, aggregate] : run.manifest.cells.front().metrics) {
     cell.set(name, aggregate);

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end check that bench and example binaries reject negative counts.
 
-Usage: test_bench_cli.py <bench_diversity binary> <quickstart binary>
+Usage: test_bench_cli.py <bench_ablation_replication binary> <quickstart binary>
 
 Counts and seeds are registered as unsigned flags, so a negative value must
 stop the binary before any work with "--<name> must be >= 0" instead of
-wrapping to a huge count (bench_diversity --replications=-1 used to die
+wrapping to a huge count (a negative replication count once died
 allocating 2^64 - 1 result slots).
 """
 
@@ -14,9 +14,9 @@ import sys
 
 
 def main():
-    bench_diversity, quickstart = sys.argv[1], sys.argv[2]
+    bench_replication, quickstart = sys.argv[1], sys.argv[2]
     failures = []
-    for binary, flag in ((bench_diversity, "--replications"),
+    for binary, flag in ((bench_replication, "--seeds"),
                          (quickstart, "--seed")):
         done = subprocess.run([binary, f"{flag}=-1"], capture_output=True,
                               text=True, timeout=60)

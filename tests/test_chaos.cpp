@@ -443,10 +443,11 @@ TEST(ChaosCampaign, EmptyConfigKeepsExperimentsBitIdentical) {
   ASSERT_TRUE(plain.chaos.empty());
   sim::Scenario with_field = plain;
   with_field.chaos = chaos::CampaignConfig{};
-  const std::string a = lab::to_json(
-      lab::run_sweep(testing_support::paired_spec(plain, 5, 7)).manifest);
+  using testing_support::one_cell_paired_spec;
+  const std::string a =
+      lab::to_json(lab::run_sweep(one_cell_paired_spec(plain, 5, 7)).manifest);
   const std::string b = lab::to_json(
-      lab::run_sweep(testing_support::paired_spec(with_field, 5, 7)).manifest);
+      lab::run_sweep(one_cell_paired_spec(with_field, 5, 7)).manifest);
   EXPECT_EQ(a, b);
 }
 

@@ -175,16 +175,18 @@ TEST(Integration, AblationPoliciesBracketThePaperPair) {
   RunningStats aware;
   const Rng master(7);
   for (std::size_t i = 0; i < 15; ++i) {
-    unaware.add(sim::run_single(scenario, sched::trust_unaware_policy(),
-                                master.stream(i))
-                    .makespan);
-    middle.add(sim::run_single(scenario,
-                               sched::unaware_placement_tc_priced_policy(),
-                               master.stream(i))
-                   .makespan);
-    aware.add(
-        sim::run_single(scenario, sched::trust_aware_policy(), master.stream(i))
-            .makespan);
+    // One draw per replication; draw_instance does not depend on the
+    // policy, so rebinding gives every policy the identical instance.
+    Rng rng = master.stream(i);
+    const sim::Instance instance =
+        sim::draw_instance(scenario, sched::trust_unaware_policy(), rng);
+    const auto makespan = [&](const sched::SchedulingPolicy& policy) {
+      return sim::run_trms(instance.problem.with_policy(policy), scenario.rms)
+          .makespan;
+    };
+    unaware.add(makespan(sched::trust_unaware_policy()));
+    middle.add(makespan(sched::unaware_placement_tc_priced_policy()));
+    aware.add(makespan(sched::trust_aware_policy()));
   }
   EXPECT_LT(middle.mean(), unaware.mean());
   EXPECT_LT(aware.mean(), middle.mean());
@@ -222,7 +224,7 @@ TEST(Integration, BatchIntervalAffectsFlowTimeNotCorrectness) {
 }
 
 TEST(Integration, ImprovementPersistsAcrossTrustDiversityLevels) {
-  // Measured finding (bench_diversity): under LoLo heterogeneity the
+  // Measured finding (catalog spec `diversity`): under LoLo heterogeneity the
   // trust-aware advantage is dominated by the pricing gap and consistent
   // decision units, not by placement freedom — so it must hold at *every*
   // diversity level, including a single administrative domain.

@@ -436,8 +436,8 @@ TEST(CatalogTest, SmokeSpecMatchesItsCommittedBaselineShape) {
 }
 
 // Every committed baseline manifest reproduces byte for byte: the paper's
-// static path (smoke, table4) and both campaign kinds of the shared round
-// loop (smoke_backends, smoke_econ).
+// static path (smoke, table4, and the static-instance studies) and both
+// campaign kinds of the shared round loop (smoke_backends, smoke_econ).
 class CommittedBaseline : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CommittedBaseline, ManifestIsByteIdentical) {
@@ -458,7 +458,13 @@ TEST_P(CommittedBaseline, ManifestIsByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Specs, CommittedBaseline,
                          ::testing::Values("smoke", "table4",
-                                           "smoke_backends", "smoke_econ"),
+                                           "smoke_backends", "smoke_econ",
+                                           "scale", "diversity",
+                                           "ablation_surface", "all_heuristics",
+                                           "ablation_interpretation",
+                                           "ablation_security_policy",
+                                           "theorem_check", "distributed",
+                                           "staging"),
                          [](const auto& param_info) {
                            return param_info.param;
                          });

@@ -19,7 +19,7 @@
 namespace gridtrust::sim {
 namespace {
 
-using testing_support::paired_spec;
+using testing_support::one_cell_paired_spec;
 using testing_support::run_paired_cell;
 
 sched::SchedulingProblem make_problem(std::uint64_t seed, std::size_t n,
@@ -219,11 +219,14 @@ TEST(Experiment, BatchModeScenarioRuns) {
 TEST(Experiment, RunSingleHonorsPolicy) {
   Scenario scenario;
   scenario.tasks = 20;
-  const SimulationResult aware =
-      run_single(scenario, sched::trust_aware_policy(), Rng(3));
-  const SimulationResult unaware =
-      run_single(scenario, sched::trust_unaware_policy(), Rng(3));
-  // Identical instance (same Rng), different policies.
+  Rng rng(3);
+  const Instance instance =
+      draw_instance(scenario, sched::trust_aware_policy(), rng);
+  const SimulationResult aware = run_trms(instance.problem, scenario.rms);
+  const SimulationResult unaware = run_trms(
+      instance.problem.with_policy(sched::trust_unaware_policy()),
+      scenario.rms);
+  // Identical instance (one draw), different policies.
   EXPECT_NE(aware.makespan, unaware.makespan);
 }
 
@@ -250,7 +253,7 @@ TEST(Experiment, DrawInstanceIsSelfConsistent) {
 }
 
 TEST(Experiment, PaperTableLayout) {
-  lab::SweepSpec spec = paired_spec(Scenario{}, 3, 1);
+  lab::SweepSpec spec = one_cell_paired_spec(Scenario{}, 3, 1);
   spec.axes = {{"tasks", {50, 100}}};
   spec.run = [](const lab::Cell& cell, std::uint64_t rep_seed) {
     Scenario scenario;
@@ -273,7 +276,7 @@ TEST(Experiment, PaperTableLayout) {
 TEST(Experiment, SummaryMentionsHeuristicAndImprovement) {
   Scenario scenario;
   scenario.tasks = 20;
-  lab::SweepSpec spec = paired_spec(scenario, 5, 3);
+  lab::SweepSpec spec = one_cell_paired_spec(scenario, 5, 3);
   spec.axes.insert(spec.axes.begin(), {"heuristic", {"mct"}});
   const std::vector<std::string> lines =
       lab::paired_summaries(lab::run_sweep(spec).manifest);

@@ -168,5 +168,22 @@ TEST(Staging, WithPolicyCarriesExtras) {
   EXPECT_NEAR(q.actual_cost(0, 0), 59.0, 1e-9);
 }
 
+TEST(Staging, StagedPairedKeepsRunPairedAsItsPlainArms) {
+  Scenario scenario;
+  scenario.tasks = 20;
+  const obs::RunReport paired = run_paired(scenario, 11);
+  const obs::RunReport staged = run_staged_paired(scenario, 400, 1600, 100, 11);
+  // The unstaged arms are run_paired's instance and runs, bit for bit.
+  EXPECT_EQ(staged.get("plain.unaware.makespan"),
+            paired.get("unaware.makespan"));
+  EXPECT_EQ(staged.get("plain.aware.makespan"), paired.get("aware.makespan"));
+  EXPECT_EQ(staged.get("plain.makespan_diff"), paired.get("makespan_diff"));
+  // GB-scale inputs over a 100 Mbps WAN lengthen both staged arms.
+  EXPECT_GT(staged.get("unaware.makespan"), paired.get("unaware.makespan"));
+  EXPECT_GT(staged.get("aware.makespan"), paired.get("aware.makespan"));
+  // Only the two links of Tables 2-3 are modelled.
+  EXPECT_THROW(run_staged_paired(scenario, 0, 0, 10, 11), PreconditionError);
+}
+
 }  // namespace
 }  // namespace gridtrust::sim

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "trust/agents.hpp"
-#include "trust/report.hpp"
 #include "trust/alliance.hpp"
 #include "trust/decay.hpp"
 #include "trust/ets.hpp"
@@ -493,32 +492,6 @@ TEST(TrustEngine, PruneDropsStaleRecordsOnly) {
   EXPECT_EQ(engine.export_records().size(), 0u);
   // History counter is preserved.
   EXPECT_EQ(engine.transaction_count(), 3u);
-}
-
-// ---------------------------------------------------------------- report
-
-TEST(TrustReport, RendersPerActivitySlice) {
-  TrustLevelTable table(2, 2, 2);
-  table.set(0, 0, 0, TrustLevel::kE);
-  table.set(0, 1, 0, TrustLevel::kB);
-  table.set(1, 0, 0, TrustLevel::kC);
-  const TextTable out = render_table(table, 0);
-  EXPECT_EQ(out.row_count(), 2u);
-  const std::string text = out.to_string();
-  EXPECT_NE(text.find("rd0"), std::string::npos);
-  EXPECT_NE(text.find("cd1"), std::string::npos);
-  EXPECT_NE(text.find("E"), std::string::npos);
-  EXPECT_THROW(render_table(table, 2), PreconditionError);
-}
-
-TEST(TrustReport, SummaryTakesTheMinimumAcrossActivities) {
-  TrustLevelTable table(1, 1, 3);
-  table.set(0, 0, 0, TrustLevel::kE);
-  table.set(0, 0, 1, TrustLevel::kB);
-  table.set(0, 0, 2, TrustLevel::kD);
-  const std::string text = render_table_summary(table).to_string();
-  // The pair cell must show B (the min), not E.
-  EXPECT_NE(text.find(" B "), std::string::npos);
 }
 
 // ---------------------------------------------------------------- agents
