@@ -5,9 +5,14 @@
 // meta-requests: the set of requests collected during one batch interval.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "grid/activity.hpp"
 #include "grid/domain.hpp"
 #include "trust/trust_level.hpp"
@@ -15,6 +20,53 @@
 namespace gridtrust::grid {
 
 using RequestId = std::size_t;
+
+/// The ToAs of one request, stored inline: at most kCapacity ids, the size
+/// of ActivityCatalog::standard() (the paper draws 1..4).  A contiguous,
+/// sized range, so std::span<const ActivityId> views it directly.  Adding
+/// past the capacity throws PreconditionError.
+class ActivityList {
+ public:
+  static constexpr std::size_t kCapacity = 8;
+
+  using const_iterator = const ActivityId*;
+
+  ActivityList() = default;
+  ActivityList(std::initializer_list<ActivityId> ids) {
+    assign(ids.begin(), ids.end());
+  }
+
+  /// Replaces the contents with [first, last).
+  template <typename It>
+  void assign(It first, It last) {
+    size_ = 0;
+    for (; first != last; ++first) push_back(*first);
+  }
+
+  void push_back(ActivityId id) {
+    GT_REQUIRE(size_ < kCapacity, "a request holds at most " +
+                                      std::to_string(kCapacity) + " ToAs");
+    ids_[size_++] = id;
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  const ActivityId* data() const { return ids_.data(); }
+  const_iterator begin() const { return ids_.data(); }
+  const_iterator end() const { return ids_.data() + size_; }
+
+  /// Unchecked, like std::vector::operator[].
+  const ActivityId& operator[](std::size_t i) const { return ids_[i]; }
+
+  friend bool operator==(const ActivityList& a, const ActivityList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<ActivityId, kCapacity> ids_{};
+  std::size_t size_ = 0;
+};
 
 /// A resource request: one task plus its trust requirements.
 struct Request {
@@ -25,9 +77,10 @@ struct Request {
   /// Client domain of the originating client c(r).  The trust machinery
   /// works at domain granularity (clients inherit the CD's attributes).
   ClientDomainId client_domain = 0;
-  /// ToAs the task engages in (1..4 in the paper's workload); the request's
-  /// offered trust level is the minimum table entry over these.
-  std::vector<ActivityId> activities;
+  /// ToAs the task engages in (1..4 in the paper's workload, at most
+  /// ActivityList::kCapacity); the request's offered trust level is the
+  /// minimum table entry over these.
+  ActivityList activities;
   /// Client-side required trust level (A..F).
   trust::TrustLevel client_rtl = trust::TrustLevel::kA;
   /// Resource-side required trust level (A..F).

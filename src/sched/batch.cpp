@@ -11,16 +11,39 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Best machine and completion metric for one request.
+/// Best machine and its completion for one request.
+struct Best {
+  std::size_t machine = 0;
+  double completion = kInf;
+};
+
+/// Best plus the second-best completion, which only Sufferage reads.
 struct BestChoice {
   std::size_t machine = 0;
   double completion = kInf;
-  double second_completion = kInf;  // for Sufferage
+  double second_completion = kInf;
 };
 
-/// One pass over request r's decision-cost row: completion on machine m is
-/// max(α_m, floor) + decision_cost(r, m) with floor = max(ready, arrival),
-/// the value decision_completion gives.  Lowest machine index wins ties.
+/// Min-min and Max-min's scan of request r's decision-cost row: completion
+/// on machine m is max(α_m, floor) + decision_cost(r, m) with floor =
+/// max(ready, arrival), the value decision_completion gives.  Selects, not
+/// branches; the lowest machine index wins ties.
+Best best_machine(const SchedulingProblem& p, std::size_t r, double ready,
+                  const Schedule& schedule) {
+  const double floor = std::max(ready, p.arrival_time(r));
+  const double* cost = p.decision_row(r);
+  const double* available = schedule.machine_available.data();
+  Best out;
+  for (std::size_t m = 0; m < p.num_machines(); ++m) {
+    const double ct = std::max(available[m], floor) + cost[m];
+    const bool better = ct < out.completion;
+    out.machine = better ? m : out.machine;
+    out.completion = better ? ct : out.completion;
+  }
+  return out;
+}
+
+/// best_machine that also tracks the second-best completion (Sufferage).
 BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double ready,
                        const Schedule& schedule) {
   const double floor = std::max(ready, p.arrival_time(r));
@@ -40,11 +63,26 @@ BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double ready,
   return out;
 }
 
+/// Position of the first entry with the smallest (kMax: largest)
+/// completion, by selects; the first in batch order wins ties.
+template <bool kMax>
+std::size_t pick_extremal(const std::vector<Best>& best) {
+  std::size_t pick = 0;
+  double extreme = best[0].completion;
+  for (std::size_t i = 1; i < best.size(); ++i) {
+    const double c = best[i].completion;
+    const bool better = kMax ? c > extreme : c < extreme;
+    pick = better ? i : pick;
+    extreme = better ? c : extreme;
+  }
+  return pick;
+}
+
 /// Shared engine for Min-min and Max-min: repeatedly pick the pending
 /// request whose *best* completion is extremal and commit it.
 ///
-/// Each pending request keeps its BestChoice.  A commit to machine j only
-/// raises α_j, so a request whose best machine is k ≠ j keeps both its best
+/// Each pending request keeps its Best.  A commit to machine j only raises
+/// α_j, so a request whose best machine is k ≠ j keeps both its best
 /// completion and its lowest-index tie-break; only requests whose best
 /// machine is j are rescanned.  The picks equal a full rescan's exactly.
 class MinMaxMin final : public BatchHeuristic {
@@ -58,26 +96,20 @@ class MinMaxMin final : public BatchHeuristic {
                  Schedule& schedule) override {
     check_batch(p, batch, schedule);
     std::vector<std::size_t> pending = batch;
-    // best[i] belongs to pending[i]; second_completion is not maintained.
-    std::vector<BestChoice> best(pending.size());
+    std::vector<Best> best(pending.size());  // best[i] is pending[i]'s
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      best[i] = best_choice(p, pending[i], ready, schedule);
+      best[i] = best_machine(p, pending[i], ready, schedule);
     }
     while (!pending.empty()) {
-      std::size_t pick = 0;
-      for (std::size_t i = 1; i < pending.size(); ++i) {
-        const bool better =
-            prefer_max_ ? best[i].completion > best[pick].completion
-                        : best[i].completion < best[pick].completion;
-        if (better) pick = i;
-      }
+      const std::size_t pick =
+          prefer_max_ ? pick_extremal<true>(best) : pick_extremal<false>(best);
       const std::size_t machine = best[pick].machine;
       commit_assignment(p, pending[pick], machine, ready, schedule);
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
       best.erase(best.begin() + static_cast<std::ptrdiff_t>(pick));
       for (std::size_t i = 0; i < pending.size(); ++i) {
         if (best[i].machine == machine) {
-          best[i] = best_choice(p, pending[i], ready, schedule);
+          best[i] = best_machine(p, pending[i], ready, schedule);
         }
       }
     }
@@ -92,9 +124,10 @@ class MinMaxMin final : public BatchHeuristic {
 /// second-best and best completion) if denied that machine; reservation
 /// winners commit, losers wait for the next iteration.
 ///
-/// Unlike Min-min there is no BestChoice cache: a deferred request's best
-/// machine had a holder in that iteration, which committed and moved its
-/// α, so every pending request needs a fresh scan anyway.
+/// Unlike Min-min there is no cache of best machines: a deferred request's
+/// best machine had a holder in that iteration, which committed and moved
+/// its α, so every pending request needs a fresh scan anyway.  The scan is
+/// best_choice, since the sufferage value needs the second best.
 class Sufferage final : public BatchHeuristic {
  public:
   std::string name() const override { return "sufferage"; }

@@ -1,6 +1,7 @@
 #include "sched/problem.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -95,6 +96,49 @@ SchedulingProblem SchedulingProblem::with_policy(
   return SchedulingProblem(*this, std::move(policy));
 }
 
+namespace {
+
+/// Each machine's resource domain, resolved once per compute_trust_costs
+/// call.
+struct MachineDomains {
+  std::vector<grid::ResourceDomainId> id;
+  std::vector<const grid::ResourceDomain*> domain;
+
+  explicit MachineDomains(const grid::GridSystem& grid) {
+    const std::size_t n = grid.machines().size();
+    id.reserve(n);
+    domain.reserve(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      id.push_back(grid.domain_of_machine(m));
+      domain.push_back(&grid.resource_domain(id.back()));
+    }
+  }
+};
+
+/// Checks one request against the grid, once per compute_trust_costs row:
+/// a known client domain and at least one ToA, every ToA in the catalog.
+void check_request(const grid::GridSystem& grid, const grid::Request& req) {
+  GT_REQUIRE(!req.activities.empty(), "a request needs at least one ToA");
+  GT_REQUIRE(req.client_domain < grid.client_domains().size(),
+             "request originates from an unknown client domain");
+  for (const grid::ActivityId act : req.activities) {
+    GT_REQUIRE(act < grid.activities().size(),
+               "request ToA is not in the grid's activity catalog");
+  }
+}
+
+/// True when `domain` supports every ToA of `req`.
+bool supports_all(const grid::ResourceDomain& domain,
+                  const grid::Request& req) {
+  if (domain.supported_activities.empty()) return true;
+  for (const grid::ActivityId act : req.activities) {
+    if (!domain.supports(act)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,
                                     const std::vector<grid::Request>& requests,
                                     const trust::TrustLevelTable& table,
@@ -109,30 +153,36 @@ TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,
              "trust table does not match the grid topology");
 
   const std::size_t n_machines = grid.machines().size();
+  const MachineDomains machines(grid);
   TrustCostMatrix tc(requests.size(), n_machines, 0);
+  // Per row: the machines whose RD supports the request, their RDs, and
+  // the OTL the table offers on each.
+  std::vector<std::size_t> supported;
+  std::vector<grid::ResourceDomainId> rds;
+  std::vector<trust::TrustLevel> otl(n_machines);
+  supported.reserve(n_machines);
+  rds.reserve(n_machines);
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const grid::Request& req = requests[r];
-    GT_REQUIRE(!req.activities.empty(), "a request needs at least one ToA");
-    GT_REQUIRE(req.client_domain < grid.client_domains().size(),
-               "request originates from an unknown client domain");
+    check_request(grid, req);
+    int* row = tc.row(r);
+    supported.clear();
+    rds.clear();
     for (std::size_t m = 0; m < n_machines; ++m) {
-      const grid::ResourceDomainId rd = grid.domain_of_machine(m);
-      const grid::ResourceDomain& domain = grid.resource_domain(rd);
-      bool supported = true;
-      for (const grid::ActivityId act : req.activities) {
-        if (!domain.supports(act)) {
-          supported = false;
-          break;
-        }
+      if (supports_all(*machines.domain[m], req)) {
+        supported.push_back(m);
+        rds.push_back(machines.id[m]);
+      } else {
+        row[m] = unsupported_penalty;
       }
-      if (!supported) {
-        tc.at(r, m) = unsupported_penalty;
-        continue;
-      }
-      const trust::TrustLevel otl = table.offered_trust_level(
-          req.client_domain, rd,
-          std::span<const std::size_t>(req.activities));
-      tc.at(r, m) = model.trust_cost(req.effective_rtl(), otl);
+    }
+    if (supported.empty()) continue;
+    table.offered_trust_levels(req.client_domain, rds,
+                               std::span<const std::size_t>(req.activities),
+                               otl);
+    const trust::TrustLevel rtl = req.effective_rtl();
+    for (std::size_t i = 0; i < supported.size(); ++i) {
+      row[supported[i]] = model.trust_cost(rtl, otl[i]);
     }
   }
   return tc;
@@ -155,28 +205,20 @@ TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,
              "policy contexts do not cover the grid's activities");
 
   const std::size_t n_machines = grid.machines().size();
+  const MachineDomains machines(grid);
   TrustCostMatrix tc(requests.size(), n_machines, 0);
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const grid::Request& req = requests[r];
-    GT_REQUIRE(!req.activities.empty(), "a request needs at least one ToA");
-    GT_REQUIRE(req.client_domain < grid.client_domains().size(),
-               "request originates from an unknown client domain");
+    check_request(grid, req);
     const trust::EntityId cd = bridge.cd_entity(req.client_domain);
+    const trust::TrustLevel rtl = req.effective_rtl();
+    int* row = tc.row(r);
     for (std::size_t m = 0; m < n_machines; ++m) {
-      const grid::ResourceDomainId rd_id = grid.domain_of_machine(m);
-      const grid::ResourceDomain& domain = grid.resource_domain(rd_id);
-      bool supported = true;
-      for (const grid::ActivityId act : req.activities) {
-        if (!domain.supports(act)) {
-          supported = false;
-          break;
-        }
-      }
-      if (!supported) {
-        tc.at(r, m) = unsupported_penalty;
+      if (!supports_all(*machines.domain[m], req)) {
+        row[m] = unsupported_penalty;
         continue;
       }
-      const trust::EntityId rd = bridge.rd_entity(rd_id);
+      const trust::EntityId rd = bridge.rd_entity(machines.id[m]);
       trust::TrustLevel otl = trust::kMaxOfferedLevel;
       for (const grid::ActivityId act : req.activities) {
         const auto ctx = static_cast<trust::ContextId>(act);
@@ -185,7 +227,7 @@ TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,
                              policy.offered_level(rd, cd, ctx, now));
         otl = trust::min_level(otl, level);
       }
-      tc.at(r, m) = model.trust_cost(req.effective_rtl(), otl);
+      row[m] = model.trust_cost(rtl, otl);
     }
   }
   return tc;

@@ -1,6 +1,5 @@
 #include "sched/security_model.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -13,13 +12,6 @@ SecurityCostModel::SecurityCostModel(SecurityCostConfig config)
              "TC weight must be finite and non-negative");
   GT_REQUIRE(std::isfinite(config.blanket_pct) && config.blanket_pct >= 0.0,
              "blanket rate must be finite and non-negative");
-}
-
-int SecurityCostModel::trust_cost(trust::TrustLevel required,
-                                  trust::TrustLevel offered) const {
-  if (config_.table1_forced_f) return trust::trust_cost(required, offered);
-  const int gap = trust::to_numeric(required) - trust::to_numeric(offered);
-  return std::clamp(gap, 0, trust::kMaxTrustCost);
 }
 
 SchedulingPolicy trust_aware_policy() {

@@ -13,6 +13,7 @@
 // TC-priced cost.
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "common/error.hpp"
@@ -49,7 +50,13 @@ class SecurityCostModel {
 
   /// Trust cost for a (required, offered) level pair: either the Table 1
   /// function (forced F row) or the clamped difference, per configuration.
-  int trust_cost(trust::TrustLevel required, trust::TrustLevel offered) const;
+  /// Inline: compute_trust_costs prices every (request, machine) pair
+  /// through it.
+  int trust_cost(trust::TrustLevel required, trust::TrustLevel offered) const {
+    if (config_.table1_forced_f) return trust::trust_cost(required, offered);
+    const int gap = trust::to_numeric(required) - trust::to_numeric(offered);
+    return std::clamp(gap, 0, trust::kMaxTrustCost);
+  }
 
   /// ESC of a task with execution cost `eec` and trust cost `tc` under
   /// `model`.  `tc` must be in [0, 6].  Inline: SchedulingProblem prices

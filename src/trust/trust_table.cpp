@@ -54,14 +54,33 @@ void TrustLevelTable::set(std::size_t cd, std::size_t rd, std::size_t activity,
 TrustLevel TrustLevelTable::offered_trust_level(
     std::size_t cd, std::size_t rd,
     std::span<const std::size_t> activities) const {
+  TrustLevel otl = kMaxOfferedLevel;
+  offered_trust_levels(cd, std::span<const std::size_t>(&rd, 1), activities,
+                       std::span<TrustLevel>(&otl, 1));
+  return otl;
+}
+
+void TrustLevelTable::offered_trust_levels(
+    std::size_t cd, std::span<const std::size_t> rds,
+    std::span<const std::size_t> activities,
+    std::span<TrustLevel> levels) const {
   GT_REQUIRE(!activities.empty(),
              "a composite activity needs at least one ToA");
-  TrustLevel otl = kMaxOfferedLevel;
+  GT_REQUIRE(cd < n_cd_, "client domain index out of range");
   for (const std::size_t act : activities) {
-    otl = min_level(otl, levels_[offset(cd, rd, act)]);
+    GT_REQUIRE(act < n_act_, "activity index out of range");
   }
-  kTableLookups.add(static_cast<double>(activities.size()));
-  return otl;
+  GT_REQUIRE(levels.size() >= rds.size(), "one level slot per resource domain");
+  for (std::size_t i = 0; i < rds.size(); ++i) {
+    GT_REQUIRE(rds[i] < n_rd_, "resource domain index out of range");
+    const TrustLevel* entry = levels_.data() + (cd * n_rd_ + rds[i]) * n_act_;
+    TrustLevel otl = kMaxOfferedLevel;
+    for (const std::size_t act : activities) {
+      otl = min_level(otl, entry[act]);
+    }
+    levels[i] = otl;
+  }
+  kTableLookups.add(static_cast<double>(rds.size() * activities.size()));
 }
 
 double TrustLevelTable::resource_domain_mean(std::size_t rd) const {

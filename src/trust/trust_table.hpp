@@ -43,6 +43,14 @@ class TrustLevelTable {
   TrustLevel offered_trust_level(std::size_t cd, std::size_t rd,
                                  std::span<const std::size_t> activities) const;
 
+  /// offered_trust_level of one composite activity on several resource
+  /// domains: `levels[i]` receives the OTL of (cd, rds[i]).  `levels` must
+  /// hold rds.size() entries.  The ToAs are checked once per call, and the
+  /// rds.size() * activities.size() table lookups are added once.
+  void offered_trust_levels(std::size_t cd, std::span<const std::size_t> rds,
+                            std::span<const std::size_t> activities,
+                            std::span<TrustLevel> levels) const;
+
   /// Mean numeric level of resource domain `rd` over every (client domain,
   /// activity) entry.  Like offered_trust_level, it counts one table lookup
   /// per entry read, added once per call.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -17,6 +18,9 @@ std::vector<grid::Request> generate_requests(const grid::GridSystem& grid,
              "invalid activity-count range");
   GT_REQUIRE(params.max_activities <= grid.activities().size(),
              "requests cannot need more ToAs than the catalog provides");
+  GT_REQUIRE(params.max_activities <= grid::ActivityList::kCapacity,
+             "a request holds at most " +
+                 std::to_string(grid::ActivityList::kCapacity) + " ToAs");
   GT_REQUIRE(trust::is_valid_level(params.min_rtl) &&
                  trust::is_valid_level(params.max_rtl) &&
                  params.min_rtl <= params.max_rtl,
@@ -38,10 +42,10 @@ std::vector<grid::Request> generate_requests(const grid::GridSystem& grid,
     const auto n_acts = static_cast<std::size_t>(
         rng.uniform_int(static_cast<std::int64_t>(params.min_activities),
                         static_cast<std::int64_t>(params.max_activities)));
-    const std::vector<std::size_t> picks =
+    std::vector<std::size_t> picks =
         rng.sample_indices(grid.activities().size(), n_acts);
+    std::sort(picks.begin(), picks.end());
     req.activities.assign(picks.begin(), picks.end());
-    std::sort(req.activities.begin(), req.activities.end());
     req.client_rtl = trust::level_from_numeric(
         static_cast<int>(rng.uniform_int(params.min_rtl, params.max_rtl)));
     req.resource_rtl = trust::level_from_numeric(

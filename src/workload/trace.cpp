@@ -1,5 +1,6 @@
 #include "workload/trace.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -63,8 +64,10 @@ Trace load_trace(std::istream& is) {
   GT_REQUIRE(!counts.fail() && tag == "counts", "malformed counts line");
   GT_REQUIRE(n_requests > 0 && n_machines > 0, "empty trace dimensions");
 
+  // Nothing is sized from the counts line: requests and EEC values are
+  // stored as they are read, so a count the input does not back ends in
+  // "unexpected end of trace", not in a huge allocation.
   Trace trace;
-  trace.requests.reserve(n_requests);
   for (std::size_t i = 0; i < n_requests; ++i) {
     std::istringstream line(next_line(is, "req"));
     grid::Request req;
@@ -95,20 +98,32 @@ Trace load_trace(std::istream& is) {
     trace.requests.push_back(std::move(req));
   }
 
-  trace.eec = sched::CostMatrix(n_requests, n_machines);
+  std::vector<std::size_t> rows;  // rows[i]: the row the i-th eec line sets
+  std::vector<double> values;     // n_machines per eec line, as read
+  std::vector<bool> seen(n_requests, false);
+  rows.reserve(n_requests);
   for (std::size_t i = 0; i < n_requests; ++i) {
     std::istringstream line(next_line(is, "eec"));
     std::size_t row = 0;
     line >> tag >> row;
     GT_REQUIRE(!line.fail() && tag == "eec" && row < n_requests,
                "malformed eec line");
+    // A repeated row would leave another request's row at zero cost.
+    GT_REQUIRE(!seen[row], "eec row given twice");
+    seen[row] = true;
+    rows.push_back(row);
     for (std::size_t m = 0; m < n_machines; ++m) {
       double v = 0.0;
       line >> v;
       GT_REQUIRE(!line.fail(), "eec row too short");
       GT_REQUIRE(v >= 0.0, "negative EEC value");
-      trace.eec.at(row, m) = v;
+      values.push_back(v);
     }
+  }
+  trace.eec = sched::CostMatrix(n_requests, n_machines);
+  for (std::size_t i = 0; i < n_requests; ++i) {
+    std::copy_n(values.data() + i * n_machines, n_machines,
+                trace.eec.row(rows[i]));
   }
   return trace;
 }

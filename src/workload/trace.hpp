@@ -12,6 +12,7 @@
 //   gridtrust-trace v1
 //   counts <requests> <machines>
 //   req <id> <client> <cd> <client_rtl> <resource_rtl> <arrival> <acts,...>
+//       (1 to 8 comma-separated ToA ids: grid::ActivityList's capacity)
 //   eec <request> <cost for machine 0> <machine 1> ...
 #pragma once
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -13,6 +14,7 @@
 #include "sched/problem.hpp"
 #include "sched/schedule.hpp"
 #include "sched/security_model.hpp"
+#include "trust/gamma_policy.hpp"
 
 namespace gridtrust::sched {
 namespace {
@@ -244,6 +246,35 @@ TEST(TrustCosts, UnsupportedActivityGetsPenalty) {
   const TrustCostMatrix tc =
       compute_trust_costs(g, {req}, table, SecurityCostModel{});
   EXPECT_EQ(tc.at(0, 0), trust::kMaxTrustCost);
+}
+
+TEST(TrustCosts, ToaOutsideTheCatalogIsRejected) {
+  // ToA 9 is not in the standard 8-ToA catalog.  Whether or not the
+  // machine's RD has a support list, both overloads reject the request
+  // rather than pricing it as unsupported or reading past the catalog.
+  for (const bool support_list : {false, true}) {
+    SCOPED_TRACE(support_list ? "support list" : "supports everything");
+    grid::GridSystemBuilder builder(grid::ActivityCatalog::standard());
+    const auto gd = builder.add_grid_domain("gd");
+    builder.add_machine(gd, "m");
+    if (support_list) builder.set_supported_activities(gd, {0});
+    const grid::GridSystem g = builder.build();
+    grid::Request req;
+    req.client_domain = 0;
+    req.activities = {0, 9};
+
+    const trust::TrustLevelTable table(1, 1, 8);
+    EXPECT_THROW(compute_trust_costs(g, {req}, table, SecurityCostModel{}),
+                 PreconditionError);
+    // The live overload, with a policy whose contexts cover ToA 9.
+    const trust::DomainTrustBridge bridge(
+        std::make_unique<trust::GammaReputationPolicy>(
+            trust::TrustEngineConfig{}, 2, 10),
+        1, 1, 10);
+    EXPECT_THROW(
+        compute_trust_costs(g, {req}, bridge, 0.0, SecurityCostModel{}),
+        PreconditionError);
+  }
 }
 
 TEST(TrustCosts, Validation) {

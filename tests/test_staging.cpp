@@ -156,7 +156,6 @@ TEST(Staging, Validation) {
 
 TEST(Staging, WithPolicyCarriesExtras) {
   const grid::GridSystem grid = two_gd_grid();
-  const auto req = request_with(trust::TrustLevel::kA);
   sched::CostMatrix eec(1, 2, 50.0);
   sched::TrustCostMatrix tc(1, 2, 0);
   sched::SchedulingProblem p(eec, tc, sched::trust_aware_policy(),

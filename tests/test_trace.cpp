@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <typeinfo>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sched/executor.hpp"
 #include "sched/problem.hpp"
 #include "sim/trm_simulation.hpp"
@@ -100,6 +103,115 @@ TEST(Trace, RejectsCorruptInput) {
                         "req 0 0 0 Z D 0.0 1\n"
                         "eec 0 5.0\n"),  // bad trust level
       PreconditionError);
+}
+
+// ------------------------------------------------------- malformed input
+
+/// One to three seeded edits of `text`: a truncation at a byte offset, a
+/// byte flip, a duplicated line, or a number replaced by an extreme one.
+std::string mangle(std::string text, Rng& rng) {
+  const std::size_t edits = 1 + rng.index(3);
+  for (std::size_t e = 0; e < edits && !text.empty(); ++e) {
+    switch (rng.index(4)) {
+      case 0:
+        text.resize(rng.index(text.size()));
+        break;
+      case 1:
+        text[rng.index(text.size())] =
+            static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 2: {
+        const std::size_t pos = rng.index(text.size());
+        const std::size_t begin = text.rfind('\n', pos);
+        const std::size_t from = begin == std::string::npos ? 0 : begin + 1;
+        const std::size_t end = text.find('\n', pos);
+        const std::size_t to = end == std::string::npos ? text.size() : end + 1;
+        text.insert(to, text.substr(from, to - from));
+        break;
+      }
+      default: {
+        const std::size_t pos = text.find_first_of("0123456789",
+                                                   rng.index(text.size()));
+        if (pos == std::string::npos) break;
+        const std::size_t end = text.find_first_not_of("0123456789", pos);
+        const char* extreme[] = {"1099511627776", "18446744073709551615",
+                                 "9223372036854775808", "4294967296", "9"};
+        text.replace(pos, (end == std::string::npos ? text.size() : end) - pos,
+                     extreme[rng.index(5)]);
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+/// Parses `text`: either a well-formed trace or PreconditionError.
+void parse_or_reject(const std::string& text) {
+  try {
+    const Trace trace = trace_from_string(text);
+    ASSERT_FALSE(trace.requests.empty());
+    ASSERT_EQ(trace.eec.rows(), trace.requests.size());
+    for (const grid::Request& req : trace.requests) {
+      ASSERT_FALSE(req.activities.empty());
+      ASSERT_LE(req.activities.size(), grid::ActivityList::kCapacity);
+      ASSERT_GE(req.arrival_time, 0.0);
+    }
+    for (const double v : trace.eec.data()) ASSERT_GE(v, 0.0);
+  } catch (const PreconditionError&) {
+    // The classified rejection.
+  }
+}
+
+TEST(TraceFuzz, MalformedTracesParseOrThrowPreconditionError) {
+  const Instance original = make_instance(11, 6);
+  const std::string valid = trace_to_string(original.requests, original.eec);
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    const std::string text = mangle(valid, rng);
+    try {
+      parse_or_reject(text);
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "escaped as " << typeid(error).name() << ": "
+                    << error.what();
+    }
+    if (HasFailure()) {
+      ADD_FAILURE() << "malformed trace at seed " << seed << ":\n" << text;
+      break;
+    }
+  }
+}
+
+// Inputs the malformed-input sweep (or review) found, kept as seeds.
+TEST(TraceFuzz, CommittedFindingsThrowPreconditionError) {
+  const std::string header = "gridtrust-trace v1\n";
+  const std::string one_req = "req 0 0 0 C D 0.5 1,2\n";
+  // Counts the input does not back: before the fix the first two threw
+  // std::length_error / std::bad_alloc from a reserve (sweep seed 212 is
+  // the first), and the last two sized the EEC matrix from the counts line
+  // (an 8 EiB row, or a rows * cols product that wraps to zero).
+  for (const std::string counts :
+       {"counts 1099511627776 5\n", "counts 18446744073709551615 5\n",
+        "counts 1 9223372036854775808\n", "counts 2 9223372036854775808\n"}) {
+    SCOPED_TRACE(counts);
+    EXPECT_THROW(trace_from_string(header + counts + one_req + one_req +
+                                   "eec 0 1.5\neec 1 2.5\n"),
+                 PreconditionError);
+  }
+  // A duplicated eec line standing in for a missing one: before the fix,
+  // request 1's EEC row silently read zero.
+  EXPECT_THROW(trace_from_string(header + "counts 2 1\n" + one_req + one_req +
+                                 "eec 0 1.5\neec 0 1.5\n"),
+               PreconditionError);
+  // Nine ToAs: one past a request's inline capacity, named in the error.
+  try {
+    trace_from_string(header + "counts 1 1\nreq 0 0 0 C D 0.5 0,1,2,3,4,5,6,7,0\n"
+                      "eec 0 1.5\n");
+    ADD_FAILURE() << "a request with nine ToAs parsed";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("at most 8 ToAs"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Trace, SaveValidatesShape) {
