@@ -13,22 +13,6 @@ void CampaignConfig::validate() const {
   for (const FaultSpec& spec : faults) validate_spec(spec);
 }
 
-bool ChaosCounters::any() const {
-  return faults_injected != 0 || outcomes_flipped != 0 ||
-         recommendations_forged != 0 || recommendations_dropped != 0 ||
-         recommendations_delayed != 0 || whitewash_resets != 0;
-}
-
-ChaosCounters& ChaosCounters::operator+=(const ChaosCounters& other) {
-  faults_injected += other.faults_injected;
-  outcomes_flipped += other.outcomes_flipped;
-  recommendations_forged += other.recommendations_forged;
-  recommendations_dropped += other.recommendations_dropped;
-  recommendations_delayed += other.recommendations_delayed;
-  whitewash_resets += other.whitewash_resets;
-  return *this;
-}
-
 void ChaosCounters::to_report(obs::RunReport& report) const {
   report.set_count("chaos.faults_injected", faults_injected);
   report.set_count("chaos.outcomes_flipped", outcomes_flipped);

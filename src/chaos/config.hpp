@@ -48,9 +48,6 @@ struct ChaosCounters {
   std::uint64_t recommendations_delayed = 0;
   std::uint64_t whitewash_resets = 0;
 
-  bool any() const;
-  ChaosCounters& operator+=(const ChaosCounters& other);
-
   /// Writes the counters into `report` under "chaos.<name>" keys.
   void to_report(obs::RunReport& report) const;
 };

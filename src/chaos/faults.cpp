@@ -23,21 +23,6 @@ bool covers(const FaultSpec& spec, std::size_t target, double t) {
 
 }  // namespace
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kMachineCrash:
-      return "machine_crash";
-    case FaultKind::kMachineSlowdown:
-      return "machine_slowdown";
-    case FaultKind::kReportDrop:
-      return "report_drop";
-    case FaultKind::kReportDelay:
-      return "report_delay";
-  }
-  GT_ASSERT(false);
-  return "?";
-}
-
 void validate_spec(const FaultSpec& spec) {
   GT_REQUIRE(spec.at >= 0.0, "fault window must start at time >= 0");
   GT_REQUIRE(spec.duration > 0.0, "fault window needs a positive duration");
@@ -71,46 +56,6 @@ void validate_plan(const WorkerFaultPlan& plan) {
 FaultTimeline::FaultTimeline(std::vector<FaultSpec> specs)
     : specs_(std::move(specs)) {
   for (const FaultSpec& spec : specs_) validate_spec(spec);
-}
-
-bool FaultTimeline::machine_up(std::size_t machine, double t) const {
-  for (const FaultSpec& spec : specs_) {
-    if (spec.kind == FaultKind::kMachineCrash && covers(spec, machine, t)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-double FaultTimeline::slowdown(std::size_t machine, double t) const {
-  double factor = 1.0;
-  for (const FaultSpec& spec : specs_) {
-    if (spec.kind == FaultKind::kMachineSlowdown && covers(spec, machine, t)) {
-      factor *= spec.magnitude;
-    }
-  }
-  return factor;
-}
-
-double FaultTimeline::report_drop_probability(std::size_t cd, double t) const {
-  double p = 0.0;
-  for (const FaultSpec& spec : specs_) {
-    if (spec.kind == FaultKind::kReportDrop && covers(spec, cd, t)) {
-      p = std::max(p, spec.magnitude);
-    }
-  }
-  return p;
-}
-
-std::size_t FaultTimeline::report_delay_rounds(std::size_t cd,
-                                               double t) const {
-  std::size_t delay = 0;
-  for (const FaultSpec& spec : specs_) {
-    if (spec.kind == FaultKind::kReportDelay && covers(spec, cd, t)) {
-      delay = std::max(delay, static_cast<std::size_t>(spec.magnitude));
-    }
-  }
-  return delay;
 }
 
 FaultApplication apply_machine_faults(const FaultTimeline& timeline,

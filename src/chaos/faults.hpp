@@ -6,8 +6,9 @@
 // reports) that starve the trust engine of evidence.
 //
 // Two drivers share the window semantics:
-//   - FaultTimeline: a pure time-indexed view; the static experiment path
-//     (sim::draw_instance) samples it at request arrival times.
+//   - FaultTimeline: the validated windows, which apply_machine_faults
+//     samples at request arrival times (the static experiment path,
+//     sim::draw_instance).
 //   - FaultInjector: schedules each window's begin/end as first-class DES
 //     events ("chaos_fault") on a des::Simulator and maintains the live
 //     state in between; the campaign driver samples it at round starts.
@@ -43,9 +44,6 @@ enum class FaultKind {
   /// (a positive integer).
   kReportDelay,
 };
-
-/// Stable identifier ("machine_crash", ...).
-const char* to_string(FaultKind kind);
 
 /// One fault window [at, at + duration).
 struct FaultSpec {
@@ -86,7 +84,7 @@ struct WorkerFaultPlan {
 /// Validates a worker fault plan; throws PreconditionError on violations.
 void validate_plan(const WorkerFaultPlan& plan);
 
-/// Pure time-indexed view over fault specs.
+/// Validated fault windows for the static path (apply_machine_faults).
 class FaultTimeline {
  public:
   /// Validates every spec.
@@ -94,18 +92,6 @@ class FaultTimeline {
 
   bool empty() const { return specs_.empty(); }
   const std::vector<FaultSpec>& specs() const { return specs_; }
-
-  /// True when no crash window covers (machine, t).
-  bool machine_up(std::size_t machine, double t) const;
-
-  /// Product of the slowdown magnitudes active on (machine, t); 1 when none.
-  double slowdown(std::size_t machine, double t) const;
-
-  /// Max drop probability active on (cd, t); 0 when none.
-  double report_drop_probability(std::size_t cd, double t) const;
-
-  /// Max delay (rounds) active on (cd, t); 0 when none.
-  std::size_t report_delay_rounds(std::size_t cd, double t) const;
 
  private:
   std::vector<FaultSpec> specs_;

@@ -23,24 +23,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -76,13 +58,6 @@ double t_critical_95(std::size_t df) {
 double percent_improvement(double base, double better) {
   GT_REQUIRE(base != 0.0, "percent_improvement requires a non-zero baseline");
   return (base - better) / base * 100.0;
-}
-
-double mean_of(const std::vector<double>& xs) {
-  GT_REQUIRE(!xs.empty(), "mean_of requires a non-empty sequence");
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.mean();
 }
 
 double percentile(std::vector<double> values, double p) {

@@ -16,9 +16,6 @@ class RunningStats {
   /// Adds one observation.
   void add(double x);
 
-  /// Merges another accumulator (parallel reduction of replications).
-  void merge(const RunningStats& other);
-
   /// Number of observations so far.
   std::size_t count() const { return n_; }
 
@@ -57,9 +54,6 @@ double t_critical_95(std::size_t df);
 /// Percentage improvement of `better` over `base`: (base-better)/base * 100.
 /// Requires base != 0.
 double percent_improvement(double base, double better);
-
-/// Mean of a sequence; requires non-empty input.
-double mean_of(const std::vector<double>& xs);
 
 /// Interpolated percentile of a sample (p in [0, 100]): the two order
 /// statistics around rank p/100 * (n - 1), blended linearly.  They are found

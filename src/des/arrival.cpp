@@ -12,29 +12,6 @@ PoissonArrivals::PoissonArrivals(double lambda, Rng rng)
 
 SimTime PoissonArrivals::next_gap() { return rng_.exponential(mean_gap_); }
 
-FixedArrivals::FixedArrivals(SimTime interval) : interval_(interval) {
-  GT_REQUIRE(interval >= 0.0, "arrival interval must be non-negative");
-}
-
-SimTime FixedArrivals::next_gap() { return interval_; }
-
-BurstyArrivals::BurstyArrivals(double lambda_on, double lambda_off,
-                               double mean_run_length, Rng rng)
-    : lambda_on_(lambda_on),
-      lambda_off_(lambda_off),
-      switch_prob_(0.0),
-      rng_(rng) {
-  GT_REQUIRE(lambda_on > 0.0 && lambda_off > 0.0,
-             "burst rates must be positive");
-  GT_REQUIRE(mean_run_length >= 1.0, "mean run length must be >= 1");
-  switch_prob_ = 1.0 / mean_run_length;
-}
-
-SimTime BurstyArrivals::next_gap() {
-  if (rng_.bernoulli(switch_prob_)) on_ = !on_;
-  return rng_.exponential(1.0 / (on_ ? lambda_on_ : lambda_off_));
-}
-
 void drive_arrivals(Simulator& sim, ArrivalProcess& process, std::size_t count,
                     const std::function<void(std::size_t, SimTime)>& on_arrival) {
   GT_REQUIRE(on_arrival != nullptr, "drive_arrivals requires a callback");

@@ -1,8 +1,8 @@
 // Arrival processes for request workloads.
 //
 // The paper models request arrivals as a Poisson random process (§5.3).
-// ArrivalProcess abstracts the inter-arrival law so experiments can also use
-// deterministic or bursty arrivals in ablations.
+// ArrivalProcess abstracts the inter-arrival law, and drive_arrivals
+// schedules a stream of arrivals on a simulator.
 #pragma once
 
 #include <functional>
@@ -30,33 +30,6 @@ class PoissonArrivals final : public ArrivalProcess {
 
  private:
   double mean_gap_;
-  Rng rng_;
-};
-
-/// Deterministic arrivals every `interval` seconds.
-class FixedArrivals final : public ArrivalProcess {
- public:
-  explicit FixedArrivals(SimTime interval);
-  SimTime next_gap() override;
-
- private:
-  SimTime interval_;
-};
-
-/// Markov-modulated on/off bursts: exponential gaps whose rate switches
-/// between `lambda_on` and `lambda_off` after geometric run lengths.
-/// Used by ablation studies on batch-interval sensitivity.
-class BurstyArrivals final : public ArrivalProcess {
- public:
-  BurstyArrivals(double lambda_on, double lambda_off, double mean_run_length,
-                 Rng rng);
-  SimTime next_gap() override;
-
- private:
-  double lambda_on_;
-  double lambda_off_;
-  double switch_prob_;
-  bool on_ = true;
   Rng rng_;
 };
 

@@ -67,8 +67,8 @@ void CalendarQueue::push(EventNode* node) {
   const std::uint64_t vb = vb_of(node->time);
   if (size_ == 0 || vb < vb_current_) {
     // An event earlier than the cursor (or a fresh queue): rewind so the
-    // year scan cannot walk past it.  This is what keeps pop() a strict
-    // (time, seq) minimum even after run_until() peeked far ahead.
+    // year scan cannot walk past it.  This is what keeps a pop a strict
+    // (time, seq) minimum even after a bounded pop peeked far ahead.
     vb_current_ = vb;
     current_ = static_cast<std::size_t>(vb & mask_);
   }
@@ -153,32 +153,11 @@ void CalendarQueue::unlink_min(EventNode* node) {
   }
 }
 
-EventNode* CalendarQueue::pop() {
-  EventNode* node = locate_min();
-  if (node == nullptr) return nullptr;
-  unlink_min(node);
-  return node;
-}
-
 EventNode* CalendarQueue::pop_if_at_most(SimTime bound) {
   EventNode* node = locate_min();
   if (node == nullptr || node->time > bound) return nullptr;
   unlink_min(node);
   return node;
-}
-
-void CalendarQueue::clear() {
-  buckets_.assign(kMinBuckets, nullptr);
-  mask_ = kMinBuckets - 1;
-  width_ = 1.0;
-  inv_width_ = 1.0;
-  current_ = 0;
-  vb_current_ = 0;
-  size_ = 0;
-  resizes_ = 0;
-  last_pop_time_ = 0.0;
-  gap_ewma_ = 0.0;
-  have_pop_ = false;
 }
 
 void CalendarQueue::rebuild(std::size_t new_bucket_count) {

@@ -147,8 +147,8 @@ inline bool event_before(const EventNode& a, const EventNode& b) {
 ///   - every bucket chain is sorted by (time, seq);
 ///   - the cursor (current_, vb_current_) trails every pending event's
 ///     virtual bucket (push rewinds it when an earlier event arrives);
-///   - pop() returns the global (time, seq) minimum — independent of the
-///     bucket count, bucket width, or resize history.
+///   - pop_if_at_most() sees the global (time, seq) minimum — independent
+///     of the bucket count, bucket width, or resize history.
 class CalendarQueue {
  public:
   CalendarQueue();
@@ -157,20 +157,14 @@ class CalendarQueue {
   /// (next == nullptr) and outlive its stay in the queue.
   void push(EventNode* node);
 
-  /// Unlinks and returns the (time, seq) minimum; nullptr when empty.
-  EventNode* pop();
-
-  /// Like pop(), but only when the minimum's time is <= `bound`; otherwise
+  /// Unlinks and returns the (time, seq) minimum when its time is
+  /// <= `bound` (+infinity pops any minimum); otherwise, or when empty,
   /// returns nullptr and leaves the queue untouched.
   EventNode* pop_if_at_most(SimTime bound);
 
   /// Pending nodes (cancelled ones included until popped).
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  /// Unlinks everything and returns to the initial geometry.  Does not
-  /// release node storage — that is the owning pool's job.
-  void clear();
 
   /// Introspection for tests and the performance handbook.
   std::size_t bucket_count() const { return buckets_.size(); }

@@ -136,30 +136,6 @@ void Simulator::run(std::uint64_t max_events) {
   publish_metrics();
 }
 
-void Simulator::run_until(SimTime until) {
-  GT_REQUIRE(until >= now_, "run_until target is in the past");
-  while (EventNode* node = pop_live(until)) {
-    now_ = node->time;
-    execute(node);
-  }
-  now_ = until;
-  publish_metrics();
-}
-
-void Simulator::reset() {
-  publish_metrics();
-  queue_.clear();
-  pool_.reset();
-  now_ = 0.0;
-  next_seq_ = 0;
-  executed_ = 0;
-  scheduled_ = 0;
-  cancelled_count_ = 0;
-  cancelled_pending_ = 0;
-  max_queue_depth_ = 0;
-  published_ = {};
-}
-
 void Simulator::publish_metrics() {
   if (obs::registry() == nullptr) return;
   kExecuted.add(static_cast<double>(executed_ - published_.executed));

@@ -100,20 +100,11 @@ class Simulator {
   /// self-rescheduling processes (0 = unlimited).
   void run(std::uint64_t max_events = 0);
 
-  /// Runs events with time <= `until`.  Afterwards now() == until if the
-  /// simulation had events beyond it (or drained earlier at the last event
-  /// time ≤ until).
-  void run_until(SimTime until);
-
-  /// Discards all pending events and resets the clock to zero.  Event-pool
-  /// slabs are retained, so a reused simulator runs on warm memory.
-  void reset();
-
   /// Publishes kernel counters (`des.events_*`, `des.heap_depth_max`,
   /// `des.events_pending`) to the installed obs::MetricsRegistry as deltas
   /// since the last publish.  The kernel batches its counts in plain
-  /// members so the event loop costs nothing extra; run(), run_until(),
-  /// and the destructor publish automatically — call this only to flush
+  /// members so the event loop costs nothing extra; run() and the
+  /// destructor publish automatically — call this only to flush
   /// mid-run (e.g. between step() calls).  No-op when metrics are off.
   void publish_metrics();
 

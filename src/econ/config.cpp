@@ -4,18 +4,6 @@
 
 namespace gridtrust::econ {
 
-const char* to_string(PricingKind kind) {
-  switch (kind) {
-    case PricingKind::kFlat:
-      return "flat";
-    case PricingKind::kCommodity:
-      return "commodity";
-    case PricingKind::kTrustWeighted:
-      return "trust";
-  }
-  return "?";
-}
-
 PricingKind pricing_from_string(const std::string& name) {
   if (name == "flat") return PricingKind::kFlat;
   if (name == "commodity") return PricingKind::kCommodity;
@@ -25,22 +13,6 @@ PricingKind pricing_from_string(const std::string& name) {
   return PricingKind::kFlat;  // unreachable
 }
 
-std::vector<std::string> pricing_names() {
-  return {"flat", "commodity", "trust"};
-}
-
-const char* to_string(MechanismKind kind) {
-  switch (kind) {
-    case MechanismKind::kPostedCost:
-      return "posted-cost";
-    case MechanismKind::kPostedTime:
-      return "posted-time";
-    case MechanismKind::kAuction:
-      return "auction";
-  }
-  return "?";
-}
-
 MechanismKind mechanism_from_string(const std::string& name) {
   if (name == "posted-cost") return MechanismKind::kPostedCost;
   if (name == "posted-time") return MechanismKind::kPostedTime;
@@ -48,10 +20,6 @@ MechanismKind mechanism_from_string(const std::string& name) {
   GT_REQUIRE(false, "unknown market mechanism: '" + name +
                         "' (expected posted-cost/posted-time/auction)");
   return MechanismKind::kPostedCost;  // unreachable
-}
-
-std::vector<std::string> mechanism_names() {
-  return {"posted-cost", "posted-time", "auction"};
 }
 
 void EconomyConfig::validate() const {
@@ -78,11 +46,6 @@ void EconomyConfig::validate() const {
   GT_REQUIRE(valuation_markup_lo >= 1.0 &&
                  valuation_markup_lo <= valuation_markup_hi,
              "economy.valuation_markup: need 1 <= lo <= hi");
-}
-
-bool EconCounters::any() const {
-  return served != 0 || rejected_budget != 0 || rejected_deadline != 0 ||
-         budget_overruns != 0 || deadline_misses != 0;
 }
 
 EconCounters& EconCounters::operator+=(const EconCounters& other) {

@@ -39,12 +39,8 @@ enum class PricingKind {
   kTrustWeighted,
 };
 
-/// Stable identifier ("flat", "commodity", "trust").
-const char* to_string(PricingKind kind);
 /// Parses a pricing name; throws PreconditionError for unknown names.
 PricingKind pricing_from_string(const std::string& name);
-/// All pricing-model names, in enum order.
-std::vector<std::string> pricing_names();
 
 /// How a market allocates requests to machines.
 enum class MechanismKind {
@@ -60,12 +56,8 @@ enum class MechanismKind {
   kAuction,
 };
 
-/// Stable identifier ("posted-cost", "posted-time", "auction").
-const char* to_string(MechanismKind kind);
 /// Parses a mechanism name; throws PreconditionError for unknown names.
 MechanismKind mechanism_from_string(const std::string& name);
-/// All mechanism names, in enum order.
-std::vector<std::string> mechanism_names();
 
 /// Everything defining a scenario's economy.  Disabled by default.
 struct EconomyConfig {
@@ -131,7 +123,6 @@ struct EconCounters {
   /// Served requests completing after their deadline.
   std::uint64_t deadline_misses = 0;
 
-  bool any() const;
   EconCounters& operator+=(const EconCounters& other);
 
   /// Writes the counters into `report` under "econ.<name>" keys.

@@ -13,11 +13,6 @@ ActivityId ActivityCatalog::add(std::string name) {
   return names_.size() - 1;
 }
 
-const std::string& ActivityCatalog::name(ActivityId id) const {
-  GT_REQUIRE(id < names_.size(), "activity id out of range");
-  return names_[id];
-}
-
 ActivityId ActivityCatalog::id_of(const std::string& name) const {
   const auto it = std::find(names_.begin(), names_.end(), name);
   GT_REQUIRE(it != names_.end(), "unknown activity: " + name);

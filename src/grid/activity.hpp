@@ -26,9 +26,6 @@ class ActivityCatalog {
   /// Number of registered activity types.
   std::size_t size() const { return names_.size(); }
 
-  /// Name of an activity.
-  const std::string& name(ActivityId id) const;
-
   /// Id of an activity by name; throws if absent.
   ActivityId id_of(const std::string& name) const;
 

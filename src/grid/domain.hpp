@@ -12,7 +12,6 @@
 #include <string>
 
 #include "grid/activity.hpp"
-#include "trust/trust_level.hpp"
 
 namespace gridtrust::grid {
 
@@ -31,17 +30,15 @@ struct GridDomain {
   ClientDomainId client_domain = 0;
 };
 
-/// A resource domain: ownership, supported ToAs, and a default required
-/// trust level its resources demand of clients.
+/// A resource domain: ownership and supported ToAs.  Required trust
+/// levels are per request (the simulations of §5.3 sample an RTL per
+/// request), not per domain.
 struct ResourceDomain {
   ResourceDomainId id = 0;
   std::string name;
   GridDomainId owner = 0;
   /// ToAs the domain's resources support; empty means "all activities".
   std::set<ActivityId> supported_activities;
-  /// Default resource-side RTL; per-request values may override it
-  /// (the simulations of §5.3 sample an RTL per request).
-  trust::TrustLevel default_required_level = trust::TrustLevel::kA;
 
   /// True when the domain supports the activity.
   bool supports(ActivityId activity) const {
@@ -50,13 +47,11 @@ struct ResourceDomain {
   }
 };
 
-/// A client domain: ownership and a default client-side RTL.
+/// A client domain and its owning Grid domain.
 struct ClientDomain {
   ClientDomainId id = 0;
   std::string name;
   GridDomainId owner = 0;
-  /// Default client-side RTL; per-request values may override it.
-  trust::TrustLevel default_required_level = trust::TrustLevel::kA;
 };
 
 /// A machine (resource) inside a resource domain.  Scheduling state such as

@@ -48,13 +48,11 @@ GridSystem::GridSystem(ActivityCatalog activities,
                "client domain owned by an unknown grid domain");
   }
   machine_domain_.reserve(machines_.size());
-  domain_machines_.resize(resource_domains_.size());
   for (std::size_t i = 0; i < machines_.size(); ++i) {
     GT_REQUIRE(machines_[i].id == i, "machine ids must be dense");
     GT_REQUIRE(machines_[i].resource_domain < resource_domains_.size(),
                "machine belongs to an unknown resource domain");
     machine_domain_.push_back(machines_[i].resource_domain);
-    domain_machines_[machines_[i].resource_domain].push_back(machines_[i].id);
   }
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     GT_REQUIRE(clients_[i].id == i, "client ids must be dense");
@@ -68,15 +66,6 @@ const Client& GridSystem::client(ClientId id) const {
   return clients_[id];
 }
 
-std::vector<ClientId> GridSystem::clients_in(ClientDomainId cd) const {
-  GT_REQUIRE(cd < client_domains_.size(), "client domain id out of range");
-  std::vector<ClientId> out;
-  for (const Client& c : clients_) {
-    if (c.client_domain == cd) out.push_back(c.id);
-  }
-  return out;
-}
-
 const ResourceDomain& GridSystem::resource_domain(ResourceDomainId id) const {
   GT_REQUIRE(id < resource_domains_.size(),
              "resource domain id out of range");
@@ -88,18 +77,6 @@ const ClientDomain& GridSystem::client_domain(ClientDomainId id) const {
   return client_domains_[id];
 }
 
-const Machine& GridSystem::machine(MachineId id) const {
-  GT_REQUIRE(id < machines_.size(), "machine id out of range");
-  return machines_[id];
-}
-
-const std::vector<MachineId>& GridSystem::machines_in(
-    ResourceDomainId rd) const {
-  GT_REQUIRE(rd < resource_domains_.size(),
-             "resource domain id out of range");
-  return domain_machines_[rd];
-}
-
 GridSystemBuilder::GridSystemBuilder(ActivityCatalog activities)
     : activities_(std::move(activities)) {}
 
@@ -109,9 +86,9 @@ GridDomainId GridSystemBuilder::add_grid_domain(const std::string& name) {
   const ClientDomainId cd = client_domains_.size();
   grid_domains_.push_back(GridDomain{gd, name, rd, cd});
   resource_domains_.push_back(
-      ResourceDomain{rd, name + "/resources", gd, {}, trust::TrustLevel::kA});
+      ResourceDomain{rd, name + "/resources", gd, {}});
   client_domains_.push_back(
-      ClientDomain{cd, name + "/clients", gd, trust::TrustLevel::kA});
+      ClientDomain{cd, name + "/clients", gd});
   return gd;
 }
 
@@ -123,14 +100,6 @@ MachineId GridSystemBuilder::add_machine(GridDomainId gd,
   return id;
 }
 
-ClientId GridSystemBuilder::add_client(GridDomainId gd,
-                                       const std::string& name) {
-  GT_REQUIRE(gd < grid_domains_.size(), "unknown grid domain");
-  const ClientId id = clients_.size();
-  clients_.push_back(Client{id, name, grid_domains_[gd].client_domain});
-  return id;
-}
-
 void GridSystemBuilder::set_supported_activities(GridDomainId gd,
                                                  std::set<ActivityId> acts) {
   GT_REQUIRE(gd < grid_domains_.size(), "unknown grid domain");
@@ -138,19 +107,9 @@ void GridSystemBuilder::set_supported_activities(GridDomainId gd,
       std::move(acts);
 }
 
-void GridSystemBuilder::set_default_rtls(GridDomainId gd,
-                                         trust::TrustLevel resource_side,
-                                         trust::TrustLevel client_side) {
-  GT_REQUIRE(gd < grid_domains_.size(), "unknown grid domain");
-  resource_domains_[grid_domains_[gd].resource_domain].default_required_level =
-      resource_side;
-  client_domains_[grid_domains_[gd].client_domain].default_required_level =
-      client_side;
-}
-
 GridSystem GridSystemBuilder::build() const {
   return GridSystem(activities_, grid_domains_, resource_domains_,
-                    client_domains_, machines_, clients_);
+                    client_domains_, machines_);
 }
 
 GridSystem make_random_grid(const RandomGridParams& params, Rng& rng) {
@@ -183,12 +142,10 @@ GridSystem make_random_grid(const RandomGridParams& params, Rng& rng) {
     gds.push_back(GridDomain{i, "gd" + std::to_string(i), i % n_rd, i % n_cd});
   }
   for (std::size_t j = 0; j < n_rd; ++j) {
-    rds.push_back(ResourceDomain{j, "rd" + std::to_string(j), j % n_gd, {},
-                                 trust::TrustLevel::kA});
+    rds.push_back(ResourceDomain{j, "rd" + std::to_string(j), j % n_gd, {}});
   }
   for (std::size_t i = 0; i < n_cd; ++i) {
-    cds.push_back(ClientDomain{i, "cd" + std::to_string(i), i % n_gd,
-                               trust::TrustLevel::kA});
+    cds.push_back(ClientDomain{i, "cd" + std::to_string(i), i % n_gd});
   }
 
   // Spread machines over RDs: one each first, the remainder uniformly.

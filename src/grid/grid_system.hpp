@@ -39,7 +39,6 @@ class GridSystem {
 
   const ResourceDomain& resource_domain(ResourceDomainId id) const;
   const ClientDomain& client_domain(ClientDomainId id) const;
-  const Machine& machine(MachineId id) const;
   const Client& client(ClientId id) const;
 
   /// Resource domain a machine belongs to.  Served from a dense
@@ -51,12 +50,6 @@ class GridSystem {
     return machine_domain_[id];
   }
 
-  /// Machines belonging to a resource domain (ascending ids; precomputed).
-  const std::vector<MachineId>& machines_in(ResourceDomainId rd) const;
-
-  /// Clients belonging to a client domain.
-  std::vector<ClientId> clients_in(ClientDomainId cd) const;
-
  private:
   ActivityCatalog activities_;
   std::vector<GridDomain> grid_domains_;
@@ -64,10 +57,9 @@ class GridSystem {
   std::vector<ClientDomain> client_domains_;
   std::vector<Machine> machines_;
   std::vector<Client> clients_;
-  // SoA hot-path indexes, derived from machines_ at construction (the
-  // topology is immutable, so they can never go stale).
+  // SoA hot-path index, derived from machines_ at construction (the
+  // topology is immutable, so it can never go stale).
   std::vector<ResourceDomainId> machine_domain_;
-  std::vector<std::vector<MachineId>> domain_machines_;
 };
 
 /// Incremental construction with validation at build().
@@ -81,15 +73,8 @@ class GridSystemBuilder {
   /// Adds a machine to the RD of Grid domain `gd`; returns the machine id.
   MachineId add_machine(GridDomainId gd, const std::string& name);
 
-  /// Adds a client to the CD of Grid domain `gd`; returns the client id.
-  ClientId add_client(GridDomainId gd, const std::string& name);
-
   /// Restricts the RD of `gd` to a set of supported activities.
   void set_supported_activities(GridDomainId gd, std::set<ActivityId> acts);
-
-  /// Sets the default RTLs of the RD / CD of `gd`.
-  void set_default_rtls(GridDomainId gd, trust::TrustLevel resource_side,
-                        trust::TrustLevel client_side);
 
   /// Validates and assembles the GridSystem.  Requires at least one GD and
   /// one machine.
@@ -101,7 +86,6 @@ class GridSystemBuilder {
   std::vector<ResourceDomain> resource_domains_;
   std::vector<ClientDomain> client_domains_;
   std::vector<Machine> machines_;
-  std::vector<Client> clients_;
 };
 
 /// Parameters of the randomized topology of §5.3.

@@ -111,16 +111,4 @@ struct Request {
   }
 };
 
-/// A batch of requests scheduled together by batch-mode heuristics.
-struct MetaRequest {
-  /// Index of the batch interval that formed this meta-request.
-  std::size_t batch_index = 0;
-  /// Formation time (end of the collection interval).
-  double formed_at = 0.0;
-  std::vector<Request> requests;
-
-  bool empty() const { return requests.empty(); }
-  std::size_t size() const { return requests.size(); }
-};
-
 }  // namespace gridtrust::grid

@@ -47,16 +47,8 @@ AggregateSet aggregate_reports(const std::vector<obs::RunReport>& all,
   for (const std::string& name : order) {
     RunningStats stats;
     for (std::size_t r = begin; r < end; ++r) {
-      // Series entries are per-replication vectors; summaries are about
-      // scalars, so they are skipped by design (documented in spec.hpp).
-      if (!all[r].has(name)) continue;
-      try {
-        stats.add(all[r].get(name));
-      } catch (const PreconditionError&) {
-        continue;  // a series under this name
-      }
+      if (all[r].has(name)) stats.add(all[r].get(name));
     }
-    if (stats.count() == 0) continue;
     out.set(name, MetricAggregate{stats.mean(), stats.ci95_halfwidth(),
                                   stats.count()});
   }

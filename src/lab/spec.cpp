@@ -47,17 +47,6 @@ const std::string& Cell::text(const std::string& name) const {
   return find_param(*this, name).text();
 }
 
-std::string Cell::label() const {
-  std::string out;
-  for (const auto& [key, value] : params) {
-    if (!out.empty()) out += ' ';
-    out += key;
-    out += '=';
-    out += value.canonical();
-  }
-  return out;
-}
-
 void AggregateSet::set(const std::string& name, MetricAggregate aggregate) {
   for (auto& [key, value] : entries_) {
     if (key == name) {
@@ -70,13 +59,6 @@ void AggregateSet::set(const std::string& name, MetricAggregate aggregate) {
 
 void AggregateSet::set_derived(const std::string& name, double value) {
   set(name, MetricAggregate{value, 0.0, 0});
-}
-
-bool AggregateSet::has(const std::string& name) const {
-  for (const auto& [key, value] : entries_) {
-    if (key == name) return true;
-  }
-  return false;
 }
 
 const MetricAggregate& AggregateSet::get(const std::string& name) const {

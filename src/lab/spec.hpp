@@ -62,9 +62,6 @@ struct Cell {
   /// the value kind does not match.
   double number(const std::string& name) const;
   const std::string& text(const std::string& name) const;
-
-  /// "name=value name=value" in axis order (labels, log lines).
-  std::string label() const;
 };
 
 /// Mean/CI summary of one scalar metric over a cell's replications.
@@ -84,7 +81,6 @@ class AggregateSet {
   /// Derived-scalar shorthand: mean = value, ci95 = 0, n = 0.
   void set_derived(const std::string& name, double value);
 
-  bool has(const std::string& name) const;
   /// Aggregate accessor; throws PreconditionError when absent.
   const MetricAggregate& get(const std::string& name) const;
   /// Mean shorthand for finalize hooks.
@@ -122,8 +118,8 @@ struct SweepSpec {
 
   /// Runs one replication of one cell.  Must be a pure function of
   /// (cell, rep_seed) — no shared mutable state — because the engine calls
-  /// it concurrently from pool workers.  Series entries in the returned
-  /// report are ignored by aggregation; scalars become mean/CI summaries.
+  /// it concurrently from pool workers.  Each scalar in the returned
+  /// report becomes a mean/CI summary.
   std::function<obs::RunReport(const Cell& cell, std::uint64_t rep_seed)> run;
 
   /// Optional: derives extra scalars from a cell's aggregate (e.g. the

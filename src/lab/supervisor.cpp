@@ -144,14 +144,6 @@ std::size_t journaled_ok_cells(const std::string& path) {
 
 }  // namespace
 
-void SupervisorCounters::to_report(obs::RunReport& report) const {
-  report.set_count("lab.supervisor.workers_spawned", workers_spawned);
-  report.set_count("lab.supervisor.workers_lost", workers_lost);
-  report.set_count("lab.supervisor.workers_respawned", workers_respawned);
-  report.set_count("lab.supervisor.cells_reassigned", cells_reassigned);
-  report.set_count("lab.supervisor.heartbeats_missed", heartbeats_missed);
-}
-
 ShardMerge merge_shards(const SweepSpec& spec, std::uint64_t seed,
                         std::size_t replications,
                         const std::vector<Journal>& journals,

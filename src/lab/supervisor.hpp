@@ -31,7 +31,6 @@
 #include "common/retry.hpp"
 #include "lab/engine.hpp"
 #include "lab/journal.hpp"
-#include "obs/report.hpp"
 
 namespace gridtrust::lab {
 
@@ -67,16 +66,14 @@ struct SupervisorOptions {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// What the supervisor counted, surfaced in RunReports under
-/// "lab.supervisor.*" (and mirrored as process-wide obs counters).
+/// What the supervisor counted; the same counts go to the process-wide
+/// obs counters "lab.supervisor.*".
 struct SupervisorCounters {
   std::uint64_t workers_spawned = 0;    ///< initial spawns + respawns
   std::uint64_t workers_lost = 0;       ///< abnormal exits + hang kills
   std::uint64_t workers_respawned = 0;  ///< replacements actually started
   std::uint64_t cells_reassigned = 0;   ///< cells handed to a replacement
   std::uint64_t heartbeats_missed = 0;  ///< deadline expiries (-> SIGKILL)
-
-  void to_report(obs::RunReport& report) const;
 };
 
 /// One supervised run: the merged manifest plus execution facts that stay

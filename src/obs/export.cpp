@@ -131,52 +131,6 @@ std::string to_csv(const Snapshot& snapshot) {
   return out.str();
 }
 
-Snapshot from_csv(const std::string& csv) {
-  Snapshot snap;
-  std::istringstream in(csv);
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (first) {  // header
-      first = false;
-      continue;
-    }
-    if (line.empty()) continue;
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= line.size(); ++i) {
-      if (i == line.size() || line[i] == ',') {
-        fields.push_back(line.substr(start, i - start));
-        start = i + 1;
-      }
-    }
-    GT_REQUIRE(fields.size() == 4, "malformed metrics CSV row: " + line);
-    const std::string& kind = fields[0];
-    const std::string& name = fields[1];
-    const std::string& field = fields[2];
-    const double value = std::stod(fields[3]);
-    if (kind == "counter") {
-      snap.counters[name] = value;
-    } else if (kind == "gauge") {
-      snap.gauges[name] = value;
-    } else if (kind == "histogram") {
-      HistogramSnapshot& hist = snap.histograms[name];
-      if (field == "count") {
-        hist.count = static_cast<std::uint64_t>(value);
-      } else if (field == "sum") {
-        hist.sum = value;
-      } else if (field == "min") {
-        hist.min = value;
-      } else if (field == "max") {
-        hist.max = value;
-      }  // bucket_le_* rows are ignored
-    } else {
-      GT_REQUIRE(false, "unknown metrics CSV kind: " + kind);
-    }
-  }
-  return snap;
-}
-
 void add_metrics_flags(CliParser& cli) {
   cli.add_string("metrics-out", "",
                  "write a metrics dump here on exit (.csv => CSV, else JSON)");

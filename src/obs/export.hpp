@@ -27,11 +27,6 @@ std::string to_json(const Snapshot& snapshot);
 /// buckets appear as `histogram,<name>,bucket_le_<bound>,<count>`.
 std::string to_csv(const Snapshot& snapshot);
 
-/// Parses the scalar rows of a `to_csv` dump back into a snapshot (counters,
-/// gauges, and histogram count/sum/min/max; bucket rows are ignored).  Used
-/// by tests for exporter round-trips and by tooling that diffs dumps.
-Snapshot from_csv(const std::string& csv);
-
 /// Registers the shared `--metrics-out` flag.
 void add_metrics_flags(CliParser& cli);
 

@@ -7,11 +7,6 @@
 
 namespace gridtrust::obs {
 
-bool JsonValue::as_bool() const {
-  GT_REQUIRE(kind_ == Kind::kBool, "JSON value is not a bool");
-  return bool_;
-}
-
 double JsonValue::as_number() const {
   GT_REQUIRE(kind_ == Kind::kNumber, "JSON value is not a number");
   return number_;
@@ -155,8 +150,16 @@ class Parser {
   JsonValue parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        require(depth_ < kMaxDepth, "nesting deeper than " +
+                                        std::to_string(kMaxDepth) +
+                                        " levels");
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         require(consume_literal("true"), "invalid literal");
@@ -312,8 +315,15 @@ class Parser {
     return JsonValue::make_number(std::strtod(token.c_str(), nullptr));
   }
 
+  /// Each nested object or array is one more recursive parse_value frame,
+  /// so unbounded nesting lets a small file overflow the stack.  Every
+  /// committed manifest nests 5 levels deep; 64 leaves wide headroom for
+  /// journals, cache files and supervisor frames.
+  static constexpr std::size_t kMaxDepth = 64;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< objects and arrays open at pos_
 };
 
 }  // namespace

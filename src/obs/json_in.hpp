@@ -28,7 +28,6 @@ class JsonValue {
   bool is_array() const { return kind_ == Kind::kArray; }
 
   /// Typed accessors; each throws PreconditionError on a kind mismatch.
-  bool as_bool() const;
   double as_number() const;
   /// The exact value of a number written as plain digits (no sign,
   /// fraction or exponent) that fits in 64 bits; nullopt for any other
@@ -67,7 +66,7 @@ class JsonValue {
 
 /// Parses exactly one JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).  Throws PreconditionError with a byte offset on any
-/// syntax error.
+/// syntax error, and on objects and arrays nested more than 64 deep.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace gridtrust::obs

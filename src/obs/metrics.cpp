@@ -144,11 +144,6 @@ detail::Shard* MetricsRegistry::attach_shard() {
   return shards_.back().get();
 }
 
-std::size_t MetricsRegistry::shard_count() const {
-  const MutexLock lock(&mutex_);
-  return shards_.size();
-}
-
 Snapshot MetricsRegistry::snapshot() const {
   // Copy the interner's current view first (its lock is independent).
   struct NameInfo {

@@ -217,9 +217,6 @@ class MetricsRegistry {
   /// (their in-flight updates land in a later snapshot).
   Snapshot snapshot() const GT_EXCLUDES(mutex_);
 
-  /// Number of thread shards attached so far.
-  std::size_t shard_count() const GT_EXCLUDES(mutex_);
-
   /// Internal: creates and adopts a shard for the calling thread.  Called
   /// by the recording machinery; not part of the public surface.
   detail::Shard* attach_shard() GT_EXCLUDES(mutex_);

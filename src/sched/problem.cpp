@@ -188,49 +188,4 @@ TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,
   return tc;
 }
 
-TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,
-                                    const std::vector<grid::Request>& requests,
-                                    const trust::DomainTrustBridge& bridge,
-                                    double now, const SecurityCostModel& model,
-                                    int unsupported_penalty) {
-  GT_REQUIRE(!requests.empty(), "need at least one request");
-  GT_REQUIRE(unsupported_penalty >= 0 &&
-                 unsupported_penalty <= trust::kMaxTrustCost,
-             "penalty must be a valid trust cost");
-  GT_REQUIRE(bridge.resource_domains() == grid.resource_domains().size() &&
-                 bridge.client_domains() == grid.client_domains().size(),
-             "trust bridge does not match the grid topology");
-  const trust::ReputationPolicy& policy = bridge.policy();
-  GT_REQUIRE(policy.context_count() >= grid.activities().size(),
-             "policy contexts do not cover the grid's activities");
-
-  const std::size_t n_machines = grid.machines().size();
-  const MachineDomains machines(grid);
-  TrustCostMatrix tc(requests.size(), n_machines, 0);
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const grid::Request& req = requests[r];
-    check_request(grid, req);
-    const trust::EntityId cd = bridge.cd_entity(req.client_domain);
-    const trust::TrustLevel rtl = req.effective_rtl();
-    int* row = tc.row(r);
-    for (std::size_t m = 0; m < n_machines; ++m) {
-      if (!supports_all(*machines.domain[m], req)) {
-        row[m] = unsupported_penalty;
-        continue;
-      }
-      const trust::EntityId rd = bridge.rd_entity(machines.id[m]);
-      trust::TrustLevel otl = trust::kMaxOfferedLevel;
-      for (const grid::ActivityId act : req.activities) {
-        const auto ctx = static_cast<trust::ContextId>(act);
-        const trust::TrustLevel level =
-            trust::min_level(policy.offered_level(cd, rd, ctx, now),
-                             policy.offered_level(rd, cd, ctx, now));
-        otl = trust::min_level(otl, level);
-      }
-      row[m] = model.trust_cost(rtl, otl);
-    }
-  }
-  return tc;
-}
-
 }  // namespace gridtrust::sched

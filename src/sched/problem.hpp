@@ -20,7 +20,6 @@
 #include "grid/request.hpp"
 #include "sched/matrix.hpp"
 #include "sched/security_model.hpp"
-#include "trust/agents.hpp"
 #include "trust/trust_table.hpp"
 
 namespace gridtrust::sched {
@@ -109,22 +108,6 @@ TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,
                                     const std::vector<grid::Request>& requests,
                                     const trust::TrustLevelTable& table,
                                     const SecurityCostModel& model,
-                                    int unsupported_penalty =
-                                        trust::kMaxTrustCost);
-
-/// Live-policy overload: prices trust costs straight from `bridge`'s
-/// reputation backend at time `now`, bypassing the quantized table.  Per
-/// activity the OTL is the symmetric min of the two directed offered
-/// levels (the same conservative quantifier refresh() writes back); the
-/// composite OTL is the min over the request's activities.  Unlike the
-/// table path there is no min_transactions gate and no refresh lag —
-/// strangers price at the backend's default, and every evaluation reflects
-/// the evidence as of `now`.  Heuristics stay backend-agnostic: any
-/// ReputationPolicy behind the bridge works.
-TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,
-                                    const std::vector<grid::Request>& requests,
-                                    const trust::DomainTrustBridge& bridge,
-                                    double now, const SecurityCostModel& model,
                                     int unsupported_penalty =
                                         trust::kMaxTrustCost);
 

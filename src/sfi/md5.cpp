@@ -63,42 +63,4 @@ void md5_transform(Md5State& state, const std::uint32_t block[16]) {
 
 }  // namespace detail
 
-std::string to_hex(const Md5Digest& digest) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(32);
-  for (const std::uint8_t byte : digest) {
-    out.push_back(kHex[byte >> 4]);
-    out.push_back(kHex[byte & 0x0f]);
-  }
-  return out;
-}
-
-namespace {
-
-/// Adapter exposing a raw buffer through the heap interface (the native,
-/// unchecked path; the caller controls both pointer and length).
-class BufferHeap {
- public:
-  explicit BufferHeap(const std::uint8_t* data) : data_(data) {}
-  std::uint8_t load8(std::size_t addr) const { return data_[addr]; }
-  std::uint32_t load32(std::size_t addr) const {
-    std::uint32_t v;
-    std::memcpy(&v, data_ + addr, sizeof(v));
-    return v;
-  }
-
- private:
-  const std::uint8_t* data_;
-};
-
-}  // namespace
-
-Md5Digest md5(const void* data, std::size_t len) {
-  BufferHeap heap(static_cast<const std::uint8_t*>(data));
-  return md5_of_heap(heap, 0, len);
-}
-
-Md5Digest md5(const std::string& text) { return md5(text.data(), text.size()); }
-
 }  // namespace gridtrust::sfi

@@ -9,15 +9,11 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <string>
 
 namespace gridtrust::sfi {
 
 /// A 128-bit MD5 digest.
 using Md5Digest = std::array<std::uint8_t, 16>;
-
-/// Lowercase hex rendering of a digest.
-std::string to_hex(const Md5Digest& digest);
 
 namespace detail {
 
@@ -143,12 +139,5 @@ Md5Digest md5_of_heap(const Heap& heap, std::size_t addr, std::size_t len) {
   }
   return digest;
 }
-
-/// MD5 of a plain byte buffer (native path; used by tests against the
-/// RFC 1321 vectors).
-Md5Digest md5(const void* data, std::size_t len);
-
-/// MD5 of a string.
-Md5Digest md5(const std::string& text);
 
 }  // namespace gridtrust::sfi

@@ -116,17 +116,8 @@ ScenarioBuilder& ScenarioBuilder::with_adversaries(
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::with_faults(
-    const std::vector<chaos::FaultSpec>& faults) {
-  scenario_.chaos.faults.insert(scenario_.chaos.faults.end(), faults.begin(),
-                                faults.end());
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::with_reputation_backend(
-    std::string name, std::map<std::string, double> params) {
+ScenarioBuilder& ScenarioBuilder::with_reputation_backend(std::string name) {
   scenario_.reputation.name = std::move(name);
-  scenario_.reputation.params = std::move(params);
   return *this;
 }
 

@@ -16,7 +16,6 @@
 //                               .build();
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "sim/experiment.hpp"
@@ -77,16 +76,11 @@ class ScenarioBuilder {
   ScenarioBuilder& with_adversaries(
       const std::vector<chaos::AdversarySpec>& adversaries);
 
-  /// Appends fault windows to the scenario's chaos campaign.
-  ScenarioBuilder& with_faults(const std::vector<chaos::FaultSpec>& faults);
-
   /// Selects the reputation backend forming trust in closed-loop campaigns
   /// ("gamma", "beta", "fuzzy", "purge:<base>"; see
-  /// trust/reputation_registry.hpp).  `params` are backend tuning overrides
-  /// such as {"purge.deviation_threshold", 2.0}.  The name is validated at
-  /// build() time; unknown parameter keys fail at policy construction.
-  ScenarioBuilder& with_reputation_backend(
-      std::string name, std::map<std::string, double> params = {});
+  /// trust/reputation_registry.hpp).  The name is validated at build()
+  /// time.
+  ScenarioBuilder& with_reputation_backend(std::string name);
 
   /// Installs a Grid economy (prices, budgets, deadlines, market mechanism;
   /// see econ/config.hpp) and enables it.  The config is range-validated at

@@ -147,12 +147,4 @@ TrustEngine& DomainTrustBridge::engine() {
   return gamma->engine();
 }
 
-const TrustEngine& DomainTrustBridge::engine() const {
-  const auto* gamma = dynamic_cast<const GammaReputationPolicy*>(policy_.get());
-  GT_REQUIRE(gamma != nullptr,
-             "engine() requires the gamma backend; this bridge runs \"" +
-                 policy_->name() + "\"");
-  return gamma->engine();
-}
-
 }  // namespace gridtrust::trust

@@ -76,7 +76,6 @@ class DomainTrustBridge {
   /// wiring, recommender learning).  Requires the backend to be "gamma";
   /// use policy() for backend-agnostic access.
   TrustEngine& engine();
-  const TrustEngine& engine() const;
 
  private:
   std::size_t n_cd_;

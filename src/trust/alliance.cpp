@@ -1,7 +1,6 @@
 #include "trust/alliance.hpp"
 
 #include <numeric>
-#include <unordered_set>
 
 #include "common/error.hpp"
 
@@ -32,21 +31,6 @@ void AllianceGraph::ally(EntityId a, EntityId b) {
 
 bool AllianceGraph::allied(EntityId a, EntityId b) const {
   return find(a) == find(b);
-}
-
-std::size_t AllianceGraph::group_count() const {
-  std::unordered_set<std::size_t> roots;
-  for (std::size_t i = 0; i < parent_.size(); ++i) roots.insert(find(i));
-  return roots.size();
-}
-
-std::size_t AllianceGraph::group_size(EntityId e) const {
-  const std::size_t root = find(e);
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < parent_.size(); ++i) {
-    if (find(i) == root) ++n;
-  }
-  return n;
 }
 
 }  // namespace gridtrust::trust

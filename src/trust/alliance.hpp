@@ -28,12 +28,6 @@ class AllianceGraph {
   /// trivially allied with itself).
   bool allied(EntityId a, EntityId b) const;
 
-  /// Number of distinct alliance groups (including singletons).
-  std::size_t group_count() const;
-
-  /// Size of the alliance containing `e`.
-  std::size_t group_size(EntityId e) const;
-
  private:
   std::size_t find(std::size_t i) const;
 

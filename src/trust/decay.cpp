@@ -21,40 +21,11 @@ double ExponentialDecay::value(double age) const {
   return std::exp2(-age / half_life_);
 }
 
-LinearDecay::LinearDecay(double lifetime_seconds) : lifetime_(lifetime_seconds) {
-  GT_REQUIRE(lifetime_seconds > 0.0, "lifetime must be positive");
-}
-
-double LinearDecay::value(double age) const {
-  GT_REQUIRE(age >= 0.0, "age must be non-negative");
-  const double v = 1.0 - age / lifetime_;
-  return v > 0.0 ? v : 0.0;
-}
-
-StepDecay::StepDecay(double fresh_window_seconds, double stale_weight)
-    : window_(fresh_window_seconds), stale_weight_(stale_weight) {
-  GT_REQUIRE(fresh_window_seconds >= 0.0, "window must be non-negative");
-  GT_REQUIRE(stale_weight >= 0.0 && stale_weight <= 1.0,
-             "stale weight must be in [0, 1]");
-}
-
-double StepDecay::value(double age) const {
-  GT_REQUIRE(age >= 0.0, "age must be non-negative");
-  return age <= window_ ? 1.0 : stale_weight_;
-}
-
 std::shared_ptr<const DecayFunction> make_no_decay() {
   return std::make_shared<NoDecay>();
 }
 std::shared_ptr<const DecayFunction> make_exponential_decay(double half_life) {
   return std::make_shared<ExponentialDecay>(half_life);
-}
-std::shared_ptr<const DecayFunction> make_linear_decay(double lifetime) {
-  return std::make_shared<LinearDecay>(lifetime);
-}
-std::shared_ptr<const DecayFunction> make_step_decay(double window,
-                                                     double stale_weight) {
-  return std::make_shared<StepDecay>(window, stale_weight);
 }
 
 }  // namespace gridtrust::trust

@@ -2,8 +2,9 @@
 //
 // Trust decays with time: a five-year-old observation should weigh less than
 // yesterday's.  Decay functions map the age of the last transaction to a
-// weight in [0, 1].  The paper leaves the functional form open; we provide
-// the standard candidates and let the engine pick one per context.
+// weight in [0, 1].  The paper leaves the functional form open; the engine
+// picks one per context, and two are provided: none (every campaign's
+// choice) and exponential.  DecayFunction is the interface for others.
 #pragma once
 
 #include <memory>
@@ -39,33 +40,8 @@ class ExponentialDecay final : public DecayFunction {
   double half_life_;
 };
 
-/// Linear decay to zero over a lifetime: value = max(0, 1 - age/lifetime).
-class LinearDecay final : public DecayFunction {
- public:
-  explicit LinearDecay(double lifetime_seconds);
-  double value(double age) const override;
-
- private:
-  double lifetime_;
-};
-
-/// Full weight within a freshness window, a fixed residual weight beyond it.
-/// Models systems that age observations in coarse "current vs stale" terms.
-class StepDecay final : public DecayFunction {
- public:
-  StepDecay(double fresh_window_seconds, double stale_weight);
-  double value(double age) const override;
-
- private:
-  double window_;
-  double stale_weight_;
-};
-
 /// Convenience factories.
 std::shared_ptr<const DecayFunction> make_no_decay();
 std::shared_ptr<const DecayFunction> make_exponential_decay(double half_life);
-std::shared_ptr<const DecayFunction> make_linear_decay(double lifetime);
-std::shared_ptr<const DecayFunction> make_step_decay(double window,
-                                                     double stale_weight);
 
 }  // namespace gridtrust::trust

@@ -6,7 +6,7 @@
 // ReputationPolicy abstracts the four verbs every such model shares —
 // record a first-hand transaction, record a relayed recommendation,
 // evaluate trust, forget an identity — so the agent bridge, the chaos
-// campaigns, and the lab sweeps select a backend by registry name
+// campaigns, and the lab sweeps select a backend by name
 // (reputation_registry.hpp) instead of hard-coding one class.
 //
 // Contract (enforced by the conformance suite in tests/test_reputation.cpp):
@@ -23,14 +23,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/report.hpp"
 #include "trust/alliance.hpp"
 #include "trust/transaction.hpp"
 #include "trust/trust_level.hpp"
@@ -52,30 +50,13 @@ struct Recommendation {
   double score = 0.0;
 };
 
-/// Backend selection as plain data: a registry name plus numeric tuning
-/// overrides ("purge.deviation_threshold", "fuzzy.learning_rate", ...).
-/// Rides inside sim::Scenario so a sweep can treat the backend like any
-/// other parameter.  The default selects the paper's Γ model untouched —
-/// results stay bit-identical to the pre-interface engine.
+/// Backend selection as plain data: a backend name.  Rides inside
+/// sim::Scenario so a sweep can treat the backend like any other
+/// parameter.  The default selects the paper's Γ model.
 struct ReputationBackendConfig {
-  /// Registry name: "gamma", "beta", "fuzzy", or a purge composite such as
-  /// "purge:gamma" (see reputation_registry.hpp).
+  /// "gamma", "beta", "fuzzy", or a purge composite such as "purge:gamma"
+  /// (see reputation_registry.hpp).
   std::string name = "gamma";
-  /// Numeric knob overrides applied to the backend's typed config before
-  /// construction; unknown keys are rejected.  Ordered map: iteration
-  /// feeds content hashes and must be deterministic.
-  std::map<std::string, double> params;
-
-  /// True when the config selects the default Γ backend untouched.
-  bool is_default() const { return name == "gamma" && params.empty(); }
-
-  /// Parses one "key=value" override from untyped text (CLI flags, sweep
-  /// axis values) into `params`.  The key is the dotted knob name
-  /// ("purge.deviation_threshold"); the value must parse fully as a
-  /// number.  Throws PreconditionError naming the override on a missing
-  /// '=', an empty key, or a non-numeric value.  Key validity itself is
-  /// checked later, at policy construction, where the backend is known.
-  void set_override(const std::string& assignment);
 };
 
 /// Abstract reputation backend.  Implementations are not thread-safe; each
@@ -85,7 +66,7 @@ class ReputationPolicy {
  public:
   virtual ~ReputationPolicy() = default;
 
-  /// The registry name this instance was built under ("gamma", "beta",
+  /// The backend name this instance was built under ("gamma", "beta",
   /// "fuzzy", "purge:<base>").  Keys the per-backend counters.
   virtual const std::string& name() const = 0;
 
@@ -177,10 +158,6 @@ class ReputationPolicy {
   /// append their base's counters after their own.
   virtual std::vector<std::pair<std::string, std::uint64_t>> counters()
       const = 0;
-
-  /// Writes counters() into `report` as "trust.<name()>.<counter>" so
-  /// tournament manifests carry them.
-  void counters_to_report(obs::RunReport& report) const;
 };
 
 }  // namespace gridtrust::trust

@@ -1,10 +1,9 @@
 #include "trust/reputation_registry.hpp"
 
-#include <map>
-#include <utility>
+#include <algorithm>
+#include <array>
 
 #include "common/error.hpp"
-#include "common/sync.hpp"
 #include "trust/beta_policy.hpp"
 #include "trust/gamma_policy.hpp"
 
@@ -14,49 +13,20 @@ namespace {
 
 constexpr const char* kPurgePrefix = "purge:";
 
-struct Registry {
-  Mutex mutex;
-  // Ordered map: names() iterates deterministically.
-  std::map<std::string, ReputationFactory> factories GT_GUARDED_BY(mutex);
-};
+/// The base backends, sorted: make_reputation_policy builds each.
+constexpr std::array<const char*, 3> kBaseBackends = {"beta", "fuzzy",
+                                                      "gamma"};
 
-Registry& registry() {
-  static Registry& instance = *new Registry;  // leaked: immune to static
-                                              // destruction order issues
-  static const bool initialized = [] {
-    // Magic-static init is single-threaded, but the built-in registrations
-    // take the lock anyway so the guarded_by contract holds on every path.
-    const MutexLock lock(&instance.mutex);
-    instance.factories["gamma"] = [](const ReputationParams& params) {
-      return std::make_unique<GammaReputationPolicy>(
-          params.gamma, params.entities, params.contexts);
-    };
-    instance.factories["beta"] = [](const ReputationParams& params) {
-      return std::make_unique<BetaReputationPolicy>(
-          params.beta, params.entities, params.contexts);
-    };
-    instance.factories["fuzzy"] = [](const ReputationParams& params) {
-      return std::make_unique<FuzzyReputationPolicy>(
-          params.fuzzy, params.entities, params.contexts);
-    };
-    return true;
-  }();
-  (void)initialized;
-  return instance;
-}
-
-ReputationFactory find_factory(const std::string& name) {
-  Registry& r = registry();
-  const MutexLock lock(&r.mutex);
-  const auto it = r.factories.find(name);
-  return it != r.factories.end() ? it->second : ReputationFactory{};
+bool is_base_backend(const std::string& name) {
+  return std::find(kBaseBackends.begin(), kBaseBackends.end(), name) !=
+         kBaseBackends.end();
 }
 
 /// How many purge: layers a composite name may stack.  Each layer is a
 /// full deviation-tracking decorator, so depth beyond a couple has no
 /// modelling meaning — a runaway name like purge:purge:purge:... is far
 /// more likely a config-generation bug than intent, and without a ceiling
-/// the registry would chase it through unbounded recursion.
+/// the resolver would chase it through unbounded recursion.
 constexpr std::size_t kMaxPurgeDepth = 4;
 
 /// Counts leading purge: layers and strips them from `name` in place.
@@ -80,26 +50,8 @@ std::string known_backends_message() {
 
 }  // namespace
 
-void register_reputation_backend(const std::string& name,
-                                 ReputationFactory factory) {
-  GT_REQUIRE(!name.empty(), "backend name must not be empty");
-  GT_REQUIRE(name.rfind(kPurgePrefix, 0) != 0 && name != "purge",
-             "the purge: composite prefix is reserved");
-  GT_REQUIRE(factory != nullptr, "backend factory must not be null");
-  Registry& r = registry();
-  const MutexLock lock(&r.mutex);
-  GT_REQUIRE(!r.factories.count(name),
-             "reputation backend already registered: " + name);
-  r.factories[name] = std::move(factory);
-}
-
 std::vector<std::string> reputation_backend_names() {
-  Registry& r = registry();
-  const MutexLock lock(&r.mutex);
-  std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [name, factory] : r.factories) names.push_back(name);
-  return names;
+  return {kBaseBackends.begin(), kBaseBackends.end()};
 }
 
 bool reputation_backend_exists(const std::string& name) {
@@ -109,7 +61,7 @@ bool reputation_backend_exists(const std::string& name) {
   if (depth > kMaxPurgeDepth) return false;
   if (depth > 0 && base.empty()) return false;  // trailing "purge:"
   if (base == "purge") return true;
-  return find_factory(base) != nullptr;
+  return is_base_backend(base);
 }
 
 std::unique_ptr<ReputationPolicy> make_reputation_policy(
@@ -117,7 +69,7 @@ std::unique_ptr<ReputationPolicy> make_reputation_policy(
   GT_REQUIRE(params.entities > 0, "need at least one entity");
   GT_REQUIRE(params.contexts > 0, "need at least one context");
   // "purge" decorates the default gamma backend; "purge:<base>" composes
-  // over any resolvable base, up to kMaxPurgeDepth stacked layers.
+  // over any base backend, up to kMaxPurgeDepth stacked layers.
   std::string base = name;
   std::size_t depth = strip_purge_layers(base);
   if (base == "purge") {  // trailing bare decorator over the default base
@@ -130,10 +82,19 @@ std::unique_ptr<ReputationPolicy> make_reputation_policy(
                  std::to_string(kMaxPurgeDepth) + ")");
   GT_REQUIRE(!(depth > 0 && base.empty()),
              "invalid purge composite: '" + name + "' names no base backend");
-  const ReputationFactory factory = find_factory(base);
-  GT_REQUIRE(factory != nullptr, "unknown reputation backend: " + base +
-                                     " (" + known_backends_message() + ")");
-  std::unique_ptr<ReputationPolicy> policy = factory(params);
+  GT_REQUIRE(is_base_backend(base), "unknown reputation backend: " + base +
+                                        " (" + known_backends_message() + ")");
+  std::unique_ptr<ReputationPolicy> policy;
+  if (base == "gamma") {
+    policy = std::make_unique<GammaReputationPolicy>(
+        params.gamma, params.entities, params.contexts);
+  } else if (base == "beta") {
+    policy = std::make_unique<BetaReputationPolicy>(
+        params.beta, params.entities, params.contexts);
+  } else {
+    policy = std::make_unique<FuzzyReputationPolicy>(
+        params.fuzzy, params.entities, params.contexts);
+  }
   for (std::size_t layer = 0; layer < depth; ++layer) {
     policy = std::make_unique<PurgingReputationPolicy>(std::move(policy),
                                                        params.purge);
@@ -149,39 +110,6 @@ std::unique_ptr<ReputationPolicy> make_reputation_policy(
   params.entities = entities;
   params.contexts = contexts;
   params.gamma = gamma_config;
-  for (const auto& [key, value] : config.params) {
-    if (key == "gamma.alpha") {
-      params.gamma.alpha = value;
-    } else if (key == "gamma.beta") {
-      params.gamma.beta = value;
-    } else if (key == "gamma.learning_rate") {
-      params.gamma.learning_rate = value;
-    } else if (key == "gamma.alliance_discount") {
-      params.gamma.alliance_discount = value;
-    } else if (key == "gamma.independent_weight") {
-      params.gamma.independent_weight = value;
-    } else if (key == "gamma.default_score") {
-      params.gamma.default_score = value;
-    } else if (key == "gamma.learn_recommender_weights") {
-      params.gamma.learn_recommender_weights = value != 0.0;
-    } else if (key == "gamma.recommender_learning_rate") {
-      params.gamma.recommender_learning_rate = value;
-    } else if (key == "beta.half_life") {
-      params.beta.evidence_half_life = value;
-    } else if (key == "fuzzy.learning_rate") {
-      params.fuzzy.learning_rate = value;
-    } else if (key == "fuzzy.default_score") {
-      params.fuzzy.default_score = value;
-    } else if (key == "purge.deviation_threshold") {
-      params.purge.deviation_threshold = value;
-    } else if (key == "purge.min_consensus") {
-      params.purge.min_consensus = static_cast<std::uint64_t>(value);
-    } else if (key == "purge.consensus_rate") {
-      params.purge.consensus_rate = value;
-    } else {
-      GT_REQUIRE(false, "unknown reputation backend parameter: " + key);
-    }
-  }
   return make_reputation_policy(config.name, params);
 }
 

@@ -1,8 +1,7 @@
-// The string-keyed reputation-backend registry.
+// Reputation backends by name.
 //
-// Backends register a factory under a name; everything above the trust
-// layer (sim::ScenarioBuilder, sim::run_campaign, lab sweeps) selects a
-// policy by that string.  Built-ins:
+// Everything above the trust layer (sim::ScenarioBuilder, sim::run_campaign,
+// lab sweeps) selects a policy by a string.  The backends:
 //
 //   "gamma"        the paper's Γ = αΘ + βΩ engine (the default)
 //   "beta"         pooled-evidence Beta reputation (Jøsang & Ismail)
@@ -11,12 +10,11 @@
 //                  above ("purge" alone decorates gamma)
 //
 // The composite "purge:" prefix resolves recursively, so "purge:fuzzy" is
-// valid without separate registration.  Additional backends register via
-// register_reputation_backend() (e.g. from tests); names are unique.
+// valid without a separate entry.  The set is fixed: a new backend is one
+// more case in make_reputation_policy (docs/reputation-backends.md).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,9 +27,7 @@
 
 namespace gridtrust::trust {
 
-/// Typed tuning for every built-in backend; factories read the slice they
-/// need.  Passing one struct keeps factory signatures uniform without
-/// stringly-typed configuration.
+/// Typed tuning for every backend; each reads the slice it needs.
 struct ReputationParams {
   std::size_t entities = 0;
   std::size_t contexts = 0;
@@ -41,20 +37,10 @@ struct ReputationParams {
   PurgeConfig purge;
 };
 
-/// A backend constructor.  Must be pure: equal params give equivalent
-/// policies (the determinism contract of the conformance suite).
-using ReputationFactory =
-    std::function<std::unique_ptr<ReputationPolicy>(const ReputationParams&)>;
-
-/// Registers a backend; throws PreconditionError on a duplicate or
-/// reserved ("purge:"-prefixed) name.  Thread-safe.
-void register_reputation_backend(const std::string& name,
-                                 ReputationFactory factory);
-
-/// All registered backend names in sorted order (composites not expanded).
+/// The base backend names in sorted order (composites not expanded).
 std::vector<std::string> reputation_backend_names();
 
-/// True when `name` resolves — a registered backend or a "purge:<base>"
+/// True when `name` resolves — a base backend or a "purge:<base>"
 /// composite whose base resolves.
 bool reputation_backend_exists(const std::string& name);
 
@@ -63,16 +49,8 @@ bool reputation_backend_exists(const std::string& name);
 std::unique_ptr<ReputationPolicy> make_reputation_policy(
     const std::string& name, const ReputationParams& params);
 
-/// Convenience for scenario-driven callers: resolves `config.name`,
-/// applies `config.params` numeric overrides onto a default ReputationParams
-/// seeded with `gamma_config`, and constructs the policy.  Unknown override
-/// keys throw.  Recognized keys:
-///   gamma.alpha, gamma.beta, gamma.learning_rate, gamma.alliance_discount,
-///   gamma.independent_weight, gamma.default_score,
-///   gamma.learn_recommender_weights (0/1), gamma.recommender_learning_rate,
-///   beta.half_life,
-///   fuzzy.learning_rate, fuzzy.default_score,
-///   purge.deviation_threshold, purge.min_consensus, purge.consensus_rate
+/// Convenience for scenario-driven callers: builds `config.name` with
+/// default ReputationParams whose gamma slice is `gamma_config`.
 std::unique_ptr<ReputationPolicy> make_reputation_policy(
     const ReputationBackendConfig& config, const TrustEngineConfig& gamma_config,
     std::size_t entities, std::size_t contexts);

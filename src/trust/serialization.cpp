@@ -1,6 +1,9 @@
 #include "trust/serialization.hpp"
 
+#include <charconv>
 #include <istream>
+#include <limits>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -11,7 +14,6 @@ namespace gridtrust::trust {
 namespace {
 
 constexpr const char* kTableHeader = "gridtrust-trust-table v1";
-constexpr const char* kEngineHeader = "gridtrust-trust-engine v1";
 
 std::string next_line(std::istream& is, const char* what) {
   std::string line;
@@ -22,6 +24,19 @@ std::string next_line(std::istream& is, const char* what) {
   }
   GT_REQUIRE(false, std::string("unexpected end of input reading ") + what);
   return {};
+}
+
+/// Reads one unsigned decimal field.  operator>> would wrap "-1" to
+/// 2^64 - 1, so the token must be digits only and fit a size_t.
+std::size_t read_count(std::istringstream& line, const char* what) {
+  std::string token;
+  line >> token;
+  std::size_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  GT_REQUIRE(!token.empty() && ec == std::errc() && ptr == end,
+             std::string("malformed ") + what + ": '" + token + "'");
+  return value;
 }
 
 }  // namespace
@@ -46,24 +61,39 @@ TrustLevelTable load_table(std::istream& is) {
              "not a gridtrust trust-table file (bad header)");
   std::istringstream dims(next_line(is, "dims"));
   std::string tag;
-  std::size_t n_cd = 0;
-  std::size_t n_rd = 0;
-  std::size_t n_act = 0;
-  dims >> tag >> n_cd >> n_rd >> n_act;
-  GT_REQUIRE(!dims.fail() && tag == "dims", "malformed dims line");
-  TrustLevelTable table(n_cd, n_rd, n_act);
+  dims >> tag;
+  GT_REQUIRE(tag == "dims", "malformed dims line");
+  const std::size_t n_cd = read_count(dims, "dims line");
+  const std::size_t n_rd = read_count(dims, "dims line");
+  const std::size_t n_act = read_count(dims, "dims line");
+  GT_REQUIRE(n_cd > 0 && n_rd > 0 && n_act > 0,
+             "trust table dims must be positive");
+  GT_REQUIRE(n_rd <= std::numeric_limits<std::size_t>::max() / n_cd,
+             "trust table dims overflow");
+  // Rows are kept as read, keyed by cd * n_rd + rd; n_cd * n_rd distinct
+  // in-range keys cover every (cd, rd) exactly once.
+  std::map<std::size_t, std::string> rows;
   for (std::size_t i = 0; i < n_cd * n_rd; ++i) {
     std::istringstream row(next_line(is, "row"));
-    std::size_t cd = 0;
-    std::size_t rd = 0;
+    row >> tag;
+    GT_REQUIRE(tag == "row", "malformed row line");
+    const std::size_t cd = read_count(row, "row line");
+    const std::size_t rd = read_count(row, "row line");
     std::string levels;
-    row >> tag >> cd >> rd >> levels;
-    GT_REQUIRE(!row.fail() && tag == "row", "malformed row line");
+    row >> levels;
+    GT_REQUIRE(!row.fail(), "malformed row line");
     GT_REQUIRE(cd < n_cd && rd < n_rd, "row indices out of range");
     GT_REQUIRE(levels.size() == n_act,
                "row has the wrong number of activity levels");
+    GT_REQUIRE(rows.emplace(cd * n_rd + rd, std::move(levels)).second,
+               "row " + std::to_string(cd) + " " + std::to_string(rd) +
+                   " given twice");
+  }
+  TrustLevelTable table(n_cd, n_rd, n_act);
+  for (const auto& [key, levels] : rows) {
     for (std::size_t act = 0; act < n_act; ++act) {
-      table.set(cd, rd, act, level_from_string(std::string(1, levels[act])));
+      table.set(key / n_rd, key % n_rd, act,
+                level_from_string(std::string(1, levels[act])));
     }
   }
   return table;
@@ -78,44 +108,6 @@ std::string table_to_string(const TrustLevelTable& table) {
 TrustLevelTable table_from_string(const std::string& text) {
   std::istringstream is(text);
   return load_table(is);
-}
-
-void save_engine(const TrustEngine& engine, std::ostream& os) {
-  os << kEngineHeader << "\n"
-     << "dims " << engine.entity_count() << " " << engine.context_count()
-     << "\n";
-  // Full precision: trust levels are doubles and round-tripping must be
-  // exact for replay determinism.
-  os.precision(17);
-  for (const TrustEngine::Entry& entry : engine.export_records()) {
-    os << "rec " << entry.truster << " " << entry.trustee << " "
-       << entry.context << " " << entry.record.level << " "
-       << entry.record.last_time << " " << entry.record.count << "\n";
-  }
-}
-
-void load_engine(TrustEngine& engine, std::istream& is) {
-  GT_REQUIRE(next_line(is, "header") == kEngineHeader,
-             "not a gridtrust trust-engine file (bad header)");
-  std::istringstream dims(next_line(is, "dims"));
-  std::string tag;
-  std::size_t entities = 0;
-  std::size_t contexts = 0;
-  dims >> tag >> entities >> contexts;
-  GT_REQUIRE(!dims.fail() && tag == "dims", "malformed dims line");
-  GT_REQUIRE(entities <= engine.entity_count() &&
-                 contexts <= engine.context_count(),
-             "engine is too small for the saved state");
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream rec(line);
-    TrustEngine::Entry entry;
-    rec >> tag >> entry.truster >> entry.trustee >> entry.context >>
-        entry.record.level >> entry.record.last_time >> entry.record.count;
-    GT_REQUIRE(!rec.fail() && tag == "rec", "malformed rec line");
-    engine.import_record(entry);
-  }
 }
 
 }  // namespace gridtrust::trust

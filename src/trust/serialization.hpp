@@ -1,23 +1,19 @@
-// Persistence for trust state.
+// Persistence for the trust-level table.
 //
 // Trust is long-lived by nature — the whole point of the table is that it
 // survives across workloads — so deployments need to save and restore it.
-// The formats are line-oriented text with a versioned header, stable across
-// platforms, and validated strictly on load.
+// The format is line-oriented text with a versioned header, stable across
+// platforms, and validated strictly on load: one row per (cd, rd), each
+// exactly once.
 //
 //   gridtrust-trust-table v1
 //   dims <client_domains> <resource_domains> <activities>
 //   row <cd> <rd> <levels as letters, one per activity, e.g. ABECD>
-//
-//   gridtrust-trust-engine v1
-//   dims <entities> <contexts>
-//   rec <truster> <trustee> <context> <level> <last_time> <count>
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
-#include "trust/trust_engine.hpp"
 #include "trust/trust_table.hpp"
 
 namespace gridtrust::trust {
@@ -26,28 +22,13 @@ namespace gridtrust::trust {
 void save_table(const TrustLevelTable& table, std::ostream& os);
 
 /// Reads a trust-level table; throws PreconditionError on any format or
-/// range violation.
+/// range violation, a missing or repeated row included.  Storage is
+/// allocated only once every row is read, so memory follows the input,
+/// not the dims line.
 TrustLevelTable load_table(std::istream& is);
 
 /// Convenience: round-trip via strings.
 std::string table_to_string(const TrustLevelTable& table);
 TrustLevelTable table_from_string(const std::string& text);
-
-/// One exported direct-trust record.
-struct EngineRecord {
-  EntityId truster = 0;
-  EntityId trustee = 0;
-  ContextId context = 0;
-  DirectTrustRecord record;
-};
-
-/// Writes the engine's direct-trust table (the DTT/RTT of §2.2).  The
-/// engine's configuration and alliances are runtime policy and are not
-/// serialized.
-void save_engine(const TrustEngine& engine, std::ostream& os);
-
-/// Restores records into `engine`, which must cover the saved entity and
-/// context ranges and must not already hold data for the saved triples.
-void load_engine(TrustEngine& engine, std::istream& is);
 
 }  // namespace gridtrust::trust

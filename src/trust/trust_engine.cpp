@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -206,14 +205,6 @@ void TrustEngine::eventual_trust(std::span<const EntityId> trusters,
   kDecayApplications.add(static_cast<double>(thetas + scanned));
 }
 
-TrustLevel TrustEngine::eventual_offered_level(EntityId truster,
-                                               EntityId trustee,
-                                               ContextId context,
-                                               double now) const {
-  return quantize_offered_level(
-      eventual_trust(truster, trustee, context, now));
-}
-
 double TrustEngine::alliance_factor(EntityId recommender,
                                     EntityId target) const {
   return alliances_.allied(recommender, target) ? config_.alliance_discount
@@ -273,58 +264,6 @@ std::optional<double> TrustEngine::omega(EntityId evaluator,
   summed = n;
   if (n == 0) return std::nullopt;
   return sum / static_cast<double>(n);
-}
-
-std::vector<TrustEngine::Entry> TrustEngine::export_records() const {
-  std::vector<Entry> out;
-  out.reserve(record_count_);
-  for (EntityId trustee = 0; trustee < entities_; ++trustee) {
-    for (ContextId context = 0; context < contexts_; ++context) {
-      for (const Slot& slot : column(trustee, context)) {
-        out.push_back(Entry{slot.truster, trustee, context, slot.record});
-      }
-    }
-  }
-  // The columns are trustee-major; callers get (truster, trustee, context)
-  // key order.
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return std::tie(a.truster, a.trustee, a.context) <
-           std::tie(b.truster, b.trustee, b.context);
-  });
-  return out;
-}
-
-void TrustEngine::import_record(const Entry& entry) {
-  check_entity(entry.truster);
-  check_entity(entry.trustee);
-  check_context(entry.context);
-  GT_REQUIRE(entry.truster != entry.trustee,
-             "an entity cannot hold trust in itself");
-  GT_REQUIRE(entry.record.count >= 1, "imported records need observations");
-  GT_REQUIRE(entry.record.level >= 0.0 && entry.record.level <= 6.0,
-             "imported trust level out of range");
-  GT_REQUIRE(entry.record.last_time >= 0.0,
-             "imported record has a negative timestamp");
-  Column& col = column(entry.trustee, entry.context);
-  const auto it =
-      std::lower_bound(col.begin(), col.end(), entry.truster, kByTruster);
-  GT_REQUIRE(it == col.end() || it->truster != entry.truster,
-             "triple already holds data; refusing to overwrite");
-  col.insert(it, Slot{entry.truster, entry.record});
-  ++record_count_;
-  tx_count_ += entry.record.count;
-}
-
-std::size_t TrustEngine::prune(double before) {
-  std::size_t removed = 0;
-  for (Column& col : columns_) {
-    removed += std::erase_if(col, [before](const Slot& slot) {
-      return slot.record.last_time < before;
-    });
-    if (col.empty()) col = Column();
-  }
-  record_count_ -= removed;
-  return removed;
 }
 
 std::size_t TrustEngine::forget(EntityId entity) {

@@ -126,11 +126,6 @@ class TrustEngine {
                       ContextId context, double now,
                       std::span<double> out) const;
 
-  /// Γ quantized to a discrete level (and capped at E, since an offered
-  /// level can never be F).
-  TrustLevel eventual_offered_level(EntityId truster, EntityId trustee,
-                                    ContextId context, double now) const;
-
   /// The recommender trust factor R(z, y) as seen by `evaluator`:
   /// alliance-based base weight times the evaluator's learned reliability
   /// weight for z (1 until learning kicks in).
@@ -140,33 +135,12 @@ class TrustEngine {
   /// Total transactions recorded.
   std::uint64_t transaction_count() const { return tx_count_; }
 
-  /// One (truster, trustee, context) entry of the direct-trust table.
-  struct Entry {
-    EntityId truster = 0;
-    EntityId trustee = 0;
-    ContextId context = 0;
-    DirectTrustRecord record;
-  };
-
-  /// All direct-trust records in key order (persistence, inspection).
-  std::vector<Entry> export_records() const;
-
-  /// Installs a previously exported record.  The triple must be in range,
-  /// self-trust is rejected, and the triple must not already hold data.
-  void import_record(const Entry& entry);
-
-  /// Drops every record whose last transaction is older than `before`
-  /// (capacity management for long-lived deployments: decayed records stop
-  /// contributing anyway).  Returns the number of records removed.  The
-  /// transaction counter is not rewound — it counts history, not storage.
-  std::size_t prune(double before);
-
   /// Erases every record in which `entity` appears as truster or trustee and
   /// resets the learned recommender weights involving it — the engine-side
   /// effect of an identity reset (a domain leaving, or a whitewashing
   /// adversary re-registering under a fresh name).  Returns the number of
-  /// records removed.  As with prune(), the transaction counter is history
-  /// and is not rewound.
+  /// records removed.  The transaction counter counts history, not
+  /// storage, and is not rewound.
   std::size_t forget(EntityId entity);
 
  private:

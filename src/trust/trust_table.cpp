@@ -1,5 +1,7 @@
 #include "trust/trust_table.hpp"
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 
@@ -10,6 +12,21 @@ namespace {
 const obs::Counter kTableLookups("trust.table_lookups");
 const obs::Counter kTableWrites("trust.table_writes");
 
+/// The entry count of a table, checked before the storage is sized: every
+/// dimension positive and a product that does not wrap (a wrapped product
+/// would leave a table that reports its dims over too little storage).
+std::size_t entry_count(std::size_t client_domains,
+                        std::size_t resource_domains, std::size_t activities) {
+  GT_REQUIRE(client_domains > 0, "need at least one client domain");
+  GT_REQUIRE(resource_domains > 0, "need at least one resource domain");
+  GT_REQUIRE(activities > 0, "need at least one activity type");
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  GT_REQUIRE(resource_domains <= kMax / client_domains &&
+                 activities <= kMax / (client_domains * resource_domains),
+             "trust table dimensions overflow");
+  return client_domains * resource_domains * activities;
+}
+
 }  // namespace
 
 TrustLevelTable::TrustLevelTable(std::size_t client_domains,
@@ -18,12 +35,8 @@ TrustLevelTable::TrustLevelTable(std::size_t client_domains,
     : n_cd_(client_domains),
       n_rd_(resource_domains),
       n_act_(activities),
-      levels_(client_domains * resource_domains * activities,
-              kMinTrustLevel) {
-  GT_REQUIRE(client_domains > 0, "need at least one client domain");
-  GT_REQUIRE(resource_domains > 0, "need at least one resource domain");
-  GT_REQUIRE(activities > 0, "need at least one activity type");
-}
+      levels_(entry_count(client_domains, resource_domains, activities),
+              kMinTrustLevel) {}
 
 std::size_t TrustLevelTable::offset(std::size_t cd, std::size_t rd,
                                     std::size_t activity) const {

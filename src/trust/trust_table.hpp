@@ -19,8 +19,8 @@ namespace gridtrust::trust {
 /// Dense CD x RD x ToA table of offered trust levels.
 class TrustLevelTable {
  public:
-  /// Creates a table with every entry at the lowest level (A).
-  /// All three dimensions must be positive.
+  /// Creates a table with every entry at the lowest level (A).  All three
+  /// dimensions must be positive, and their product must fit a size_t.
   TrustLevelTable(std::size_t client_domains, std::size_t resource_domains,
                   std::size_t activities);
 

@@ -1,7 +1,6 @@
 #include "workload/request_gen.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/error.hpp"
@@ -119,31 +118,6 @@ double deadline_miss_fraction(const sched::Schedule& schedule,
     if (schedule.completion[r] > deadlines[r]) ++missed;
   }
   return static_cast<double>(missed) / static_cast<double>(deadlines.size());
-}
-
-std::vector<grid::MetaRequest> form_meta_requests(
-    const std::vector<grid::Request>& requests, double interval) {
-  GT_REQUIRE(interval > 0.0, "batch interval must be positive");
-  std::vector<grid::MetaRequest> batches;
-  double last_arrival = 0.0;
-  for (const grid::Request& req : requests) {
-    GT_REQUIRE(req.arrival_time >= last_arrival,
-               "requests must be sorted by arrival time");
-    last_arrival = req.arrival_time;
-    // The batch whose formation instant is the first tick at or after the
-    // arrival; an arrival exactly on a tick joins that tick's batch.
-    const auto index = static_cast<std::size_t>(
-        std::ceil(req.arrival_time / interval));
-    const std::size_t batch_index = index == 0 ? 1 : index;
-    if (batches.empty() || batches.back().batch_index != batch_index - 1) {
-      grid::MetaRequest batch;
-      batch.batch_index = batch_index - 1;
-      batch.formed_at = static_cast<double>(batch_index) * interval;
-      batches.push_back(std::move(batch));
-    }
-    batches.back().requests.push_back(req);
-  }
-  return batches;
 }
 
 }  // namespace gridtrust::workload

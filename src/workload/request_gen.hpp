@@ -69,11 +69,4 @@ std::vector<double> draw_deadlines(const std::vector<grid::Request>& requests,
 double deadline_miss_fraction(const sched::Schedule& schedule,
                               const std::vector<double>& deadlines);
 
-/// Groups requests into the meta-requests a batch-mode RMS with the given
-/// formation interval would see: batch k holds the requests with arrival in
-/// ((k) * interval ... (k+1) * interval], formed at (k+1) * interval; empty
-/// intervals produce no meta-request.  Requests must be sorted by arrival.
-std::vector<grid::MetaRequest> form_meta_requests(
-    const std::vector<grid::Request>& requests, double interval);
-
 }  // namespace gridtrust::workload

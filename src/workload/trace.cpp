@@ -128,13 +128,6 @@ Trace load_trace(std::istream& is) {
   return trace;
 }
 
-std::string trace_to_string(const std::vector<grid::Request>& requests,
-                            const sched::CostMatrix& eec) {
-  std::ostringstream os;
-  save_trace(requests, eec, os);
-  return os.str();
-}
-
 Trace trace_from_string(const std::string& text) {
   std::istringstream is(text);
   return load_trace(is);

@@ -38,9 +38,7 @@ void save_trace(const std::vector<grid::Request>& requests,
 /// Reads a trace; throws PreconditionError on malformed input.
 Trace load_trace(std::istream& is);
 
-/// String round-trip helpers.
-std::string trace_to_string(const std::vector<grid::Request>& requests,
-                            const sched::CostMatrix& eec);
+/// Reads a trace from a string (load_trace over an istringstream).
 Trace trace_from_string(const std::string& text);
 
 }  // namespace gridtrust::workload

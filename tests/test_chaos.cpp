@@ -13,6 +13,7 @@
 #include "des/simulator.hpp"
 #include "lab/manifest.hpp"
 #include "paired_sweep.hpp"
+#include "report_text.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
@@ -202,13 +203,19 @@ TEST(ChaosFaults, TimelineWindowsAreHalfOpen) {
   slow.duration = 2.0;
   slow.magnitude = 3.0;
   const chaos::FaultTimeline timeline({crash, slow});
-  EXPECT_TRUE(timeline.machine_up(1, 9.9));
-  EXPECT_FALSE(timeline.machine_up(1, 10.0));
-  EXPECT_FALSE(timeline.machine_up(1, 14.9));
-  EXPECT_TRUE(timeline.machine_up(1, 15.0));
-  EXPECT_TRUE(timeline.machine_up(0, 12.0));  // crash targets machine 1 only
-  EXPECT_DOUBLE_EQ(timeline.slowdown(0, 13.0), 3.0);
-  EXPECT_DOUBLE_EQ(timeline.slowdown(0, 14.0), 1.0);
+  // One request per probe time: a crash adds the penalty (100) and a
+  // slowdown triples the unit cost of the cells its window covers.
+  const std::vector<double> arrivals = {9.9, 10.0, 14.9, 15.0, 12.0, 13.0,
+                                        14.0};
+  sched::CostMatrix eec(arrivals.size(), 2, 1.0);
+  chaos::apply_machine_faults(timeline, arrivals, eec, 100.0);
+  EXPECT_DOUBLE_EQ(eec.get(0, 1), 1.0);    // machine 1 up at 9.9
+  EXPECT_DOUBLE_EQ(eec.get(1, 1), 101.0);  // down at 10.0
+  EXPECT_DOUBLE_EQ(eec.get(2, 1), 101.0);  // down at 14.9
+  EXPECT_DOUBLE_EQ(eec.get(3, 1), 1.0);    // up again at 15.0
+  EXPECT_DOUBLE_EQ(eec.get(4, 0), 3.0);  // crash targets machine 1 only
+  EXPECT_DOUBLE_EQ(eec.get(5, 0), 3.0);  // slowed at 13.0
+  EXPECT_DOUBLE_EQ(eec.get(6, 0), 1.0);  // the slowdown ended at 14.0
 }
 
 TEST(ChaosFaults, ApplyMachineFaultsPerturbsOnlyCoveredCells) {
@@ -261,19 +268,31 @@ TEST(ChaosFaults, InjectorTracksLiveStateThroughDesEvents) {
   chaos::FaultInjector injector({crash, drop}, 2);
   des::Simulator sim;
   EXPECT_EQ(injector.install(sim), 4u);
-  sim.run_until(5.0);
-  EXPECT_TRUE(injector.machine_up(0));
-  EXPECT_EQ(injector.machines_down(), 0u);
-  sim.run_until(12.0);
-  EXPECT_FALSE(injector.machine_up(0));
-  EXPECT_TRUE(injector.machine_up(1));
-  EXPECT_EQ(injector.machines_down(), 1u);
-  EXPECT_DOUBLE_EQ(injector.report_drop_probability(0), 0.0);
-  sim.run_until(16.0);
-  EXPECT_DOUBLE_EQ(injector.report_drop_probability(0), 0.5);
-  sim.run_until(30.0);
-  EXPECT_TRUE(injector.machine_up(0));
-  EXPECT_DOUBLE_EQ(injector.report_drop_probability(0), 0.0);
+  // Probe events sample the live state between the fault events.
+  int probes = 0;
+  sim.schedule_at(5.0, [&] {
+    ++probes;
+    EXPECT_TRUE(injector.machine_up(0));
+    EXPECT_EQ(injector.machines_down(), 0u);
+  });
+  sim.schedule_at(12.0, [&] {
+    ++probes;
+    EXPECT_FALSE(injector.machine_up(0));
+    EXPECT_TRUE(injector.machine_up(1));
+    EXPECT_EQ(injector.machines_down(), 1u);
+    EXPECT_DOUBLE_EQ(injector.report_drop_probability(0), 0.0);
+  });
+  sim.schedule_at(16.0, [&] {
+    ++probes;
+    EXPECT_DOUBLE_EQ(injector.report_drop_probability(0), 0.5);
+  });
+  sim.schedule_at(30.0, [&] {
+    ++probes;
+    EXPECT_TRUE(injector.machine_up(0));
+    EXPECT_DOUBLE_EQ(injector.report_drop_probability(0), 0.0);
+  });
+  sim.run();
+  EXPECT_EQ(probes, 4);
   EXPECT_EQ(injector.faults_injected(), 2u);
 }
 
@@ -301,14 +320,22 @@ TEST(ChaosFaults, SpecValidationRejectsBadParameters) {
 
 sim::Scenario campaign_scenario(std::vector<chaos::AdversarySpec> adversaries,
                                 std::vector<chaos::FaultSpec> faults = {}) {
-  return sim::ScenarioBuilder()
-      .machines(6)
-      .resource_domains(6, 6)
-      .client_domains(2, 2)
-      .heuristic("mct")
-      .with_adversaries(adversaries)
-      .with_faults(faults)
-      .build();
+  sim::Scenario scenario = sim::ScenarioBuilder()
+                               .machines(6)
+                               .resource_domains(6, 6)
+                               .client_domains(2, 2)
+                               .heuristic("mct")
+                               .with_adversaries(adversaries)
+                               .build();
+  scenario.chaos.faults = std::move(faults);  // FaultInjector validates them
+  return scenario;
+}
+
+/// True when any chaos counter moved.
+bool any_counter(const chaos::ChaosCounters& c) {
+  return c.faults_injected != 0 || c.outcomes_flipped != 0 ||
+         c.recommendations_forged != 0 || c.recommendations_dropped != 0 ||
+         c.recommendations_delayed != 0 || c.whitewash_resets != 0;
 }
 
 sim::RoundConfig fast_campaign() {
@@ -343,7 +370,7 @@ TEST(ChaosCampaign, CleanCampaignDetectsImmediately) {
   const sim::CampaignResult result =
       sim::run_campaign(campaign_scenario({}), fast_campaign(), 11);
   EXPECT_EQ(result.detection_latency_rounds, 0);
-  EXPECT_FALSE(result.counters.any());
+  EXPECT_FALSE(any_counter(result.counters));
 }
 
 TEST(ChaosCampaign, WhitewashingResetsIdentityAndDelaysDetection) {
@@ -418,20 +445,21 @@ TEST(ChaosCampaign, CrashWindowsShowUpAsMachinesDown) {
   EXPECT_EQ(result.counters.faults_injected, 1u);
 }
 
-// Satellite: seed determinism — equal seeds give byte-identical RunReport
-// JSON, different seeds differ.
+// Satellite: seed determinism — equal seeds give bit-identical RunReports,
+// different seeds differ.
 TEST(ChaosCampaign, SeedDeterminismRegression) {
   chaos::AdversarySpec spec;
   spec.kind = chaos::BehaviorKind::kOscillating;
   spec.domain = 0;
   const sim::Scenario scenario = campaign_scenario({spec});
   const sim::RoundConfig config = fast_campaign();
+  using testing_support::report_text;
   const std::string a =
-      sim::run_campaign(scenario, config, 99).report().to_json();
+      report_text(sim::run_campaign(scenario, config, 99).report());
   const std::string b =
-      sim::run_campaign(scenario, config, 99).report().to_json();
+      report_text(sim::run_campaign(scenario, config, 99).report());
   const std::string c =
-      sim::run_campaign(scenario, config, 100).report().to_json();
+      report_text(sim::run_campaign(scenario, config, 100).report());
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
 }
@@ -461,14 +489,15 @@ TEST(ChaosStaticPath, MachineFaultsRaiseUnawareCosts) {
   slow.duration = 1e9;
   slow.magnitude = 2.0;
   const sim::Scenario clean = sim::ScenarioBuilder().heuristic("mct").build();
-  const sim::Scenario faulty =
-      sim::ScenarioBuilder().heuristic("mct").with_faults({slow}).build();
+  sim::Scenario faulty = clean;
+  faulty.chaos.faults = {slow};
   const lab::AggregateSet clean_run =
       testing_support::run_paired_cell(clean, 5, 7);
   const lab::AggregateSet faulty_run =
       testing_support::run_paired_cell(faulty, 5, 7);
   // The chaos.* keys surface in the report only for chaos scenarios.
-  EXPECT_FALSE(clean_run.has("chaos.faults_injected"));
+  EXPECT_THROW((void)clean_run.get("chaos.faults_injected"),
+               PreconditionError);
   const lab::MetricAggregate faults = faulty_run.get("chaos.faults_injected");
   EXPECT_DOUBLE_EQ(faults.mean * static_cast<double>(faults.n),
                    5.0);  // one window x 5 reps
@@ -478,21 +507,15 @@ TEST(ChaosStaticPath, MachineFaultsRaiseUnawareCosts) {
 
 TEST(ChaosConfig, CountersAggregateAndReport) {
   chaos::ChaosCounters a;
-  a.faults_injected = 2;
+  a.faults_injected = 3;
   a.recommendations_forged = 3;
-  chaos::ChaosCounters b;
-  b.faults_injected = 1;
-  b.whitewash_resets = 4;
-  a += b;
-  EXPECT_EQ(a.faults_injected, 3u);
-  EXPECT_EQ(a.whitewash_resets, 4u);
-  EXPECT_TRUE(a.any());
+  a.whitewash_resets = 4;
   obs::RunReport report;
   a.to_report(report);
   EXPECT_DOUBLE_EQ(report.get("chaos.faults_injected"), 3.0);
   EXPECT_DOUBLE_EQ(report.get("chaos.recommendations_forged"), 3.0);
   EXPECT_DOUBLE_EQ(report.get("chaos.recommendations_dropped"), 0.0);
-  EXPECT_FALSE(chaos::ChaosCounters{}.any());
+  EXPECT_DOUBLE_EQ(report.get("chaos.whitewash_resets"), 4.0);
 }
 
 TEST(ChaosBuilder, BuildValidatesChaosConfig) {
@@ -501,13 +524,11 @@ TEST(ChaosBuilder, BuildValidatesChaosConfig) {
   EXPECT_THROW(
       sim::ScenarioBuilder().heuristic("mct").with_adversaries({bad}).build(),
       PreconditionError);
-  chaos::FaultSpec ok;
-  ok.kind = chaos::FaultKind::kMachineSlowdown;
-  ok.duration = 5.0;
-  ok.magnitude = 2.0;
+  chaos::AdversarySpec ok;
+  ok.kind = chaos::BehaviorKind::kMalicious;
   const sim::Scenario s =
-      sim::ScenarioBuilder().heuristic("mct").with_faults({ok}).build();
-  EXPECT_EQ(s.chaos.faults.size(), 1u);
+      sim::ScenarioBuilder().heuristic("mct").with_adversaries({ok}).build();
+  EXPECT_EQ(s.chaos.adversaries.size(), 1u);
   EXPECT_FALSE(s.chaos.empty());
 }
 

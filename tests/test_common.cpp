@@ -261,36 +261,6 @@ TEST(RunningStats, MatchesNaiveComputation) {
   EXPECT_NEAR(s.sum(), std::accumulate(xs.begin(), xs.end(), 0.0), 1e-12);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(71);
-  RunningStats whole;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(5, 2);
-    whole.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(a.min(), whole.min());
-  EXPECT_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_NEAR(empty.mean(), 2.0, 1e-12);
-}
-
 TEST(RunningStats, SingleObservation) {
   RunningStats s;
   s.add(4.2);
@@ -320,11 +290,6 @@ TEST(Stats, PercentImprovement) {
   EXPECT_NEAR(percent_improvement(100.0, 63.0), 37.0, 1e-12);
   EXPECT_NEAR(percent_improvement(50.0, 75.0), -50.0, 1e-12);
   EXPECT_THROW(percent_improvement(0.0, 1.0), PreconditionError);
-}
-
-TEST(Stats, MeanOf) {
-  EXPECT_NEAR(mean_of({1.0, 2.0, 3.0}), 2.0, 1e-12);
-  EXPECT_THROW(mean_of({}), PreconditionError);
 }
 
 TEST(Stats, PercentileInterpolates) {

@@ -113,53 +113,12 @@ TEST(Simulator, StepReturnsFalseOnEmpty) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
-  std::vector<double> fired;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    sim.schedule_at(t, [&, t] { fired.push_back(t); });
-  }
-  sim.run_until(2.5);
-  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
-  EXPECT_EQ(sim.now(), 2.5);
-  sim.run_until(10.0);
-  EXPECT_EQ(fired.size(), 4u);
-  EXPECT_EQ(sim.now(), 10.0);
-}
-
-TEST(Simulator, RunUntilIncludesEventsAtBoundary) {
-  Simulator sim;
-  bool ran = false;
-  sim.schedule_at(2.0, [&] { ran = true; });
-  sim.run_until(2.0);
-  EXPECT_TRUE(ran);
-}
-
-TEST(Simulator, RunUntilRejectsPast) {
-  Simulator sim;
-  sim.schedule_at(5.0, [] {});
-  sim.run();
-  EXPECT_THROW(sim.run_until(1.0), PreconditionError);
-}
-
 TEST(Simulator, MaxEventsGuardStopsRunawayChains) {
   Simulator sim;
   std::function<void()> self = [&] { sim.schedule_in(1.0, self); };
   sim.schedule_at(0.0, self);
   sim.run(/*max_events=*/100);
   EXPECT_EQ(sim.executed_events(), 100u);
-}
-
-TEST(Simulator, ResetClearsEverything) {
-  Simulator sim;
-  sim.schedule_at(1.0, [] {});
-  sim.schedule_at(2.0, [] {});
-  sim.step();
-  sim.reset();
-  EXPECT_EQ(sim.now(), 0.0);
-  EXPECT_EQ(sim.executed_events(), 0u);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_FALSE(sim.step());
 }
 
 TEST(Simulator, EventsScheduledDuringExecutionRun) {
@@ -177,6 +136,16 @@ TEST(Simulator, EventsScheduledDuringExecutionRun) {
 
 // ---------------------------------------------------------------- arrivals
 
+/// Deterministic arrivals every `gap` seconds, for driving drive_arrivals.
+class EveryGap final : public ArrivalProcess {
+ public:
+  explicit EveryGap(SimTime gap) : gap_(gap) {}
+  SimTime next_gap() override { return gap_; }
+
+ private:
+  SimTime gap_;
+};
+
 TEST(PoissonArrivals, GapsHaveExponentialMean) {
   PoissonArrivals arrivals(2.0, Rng(5));
   RunningStats s;
@@ -190,28 +159,9 @@ TEST(PoissonArrivals, RejectsNonPositiveRate) {
   EXPECT_THROW(PoissonArrivals(0.0, Rng(1)), PreconditionError);
 }
 
-TEST(FixedArrivals, ConstantGaps) {
-  FixedArrivals arrivals(2.5);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(arrivals.next_gap(), 2.5);
-  EXPECT_THROW(FixedArrivals(-1.0), PreconditionError);
-}
-
-TEST(BurstyArrivals, MeanBetweenOnAndOffRates) {
-  BurstyArrivals arrivals(10.0, 0.5, 20.0, Rng(9));
-  RunningStats s;
-  for (int i = 0; i < 50000; ++i) s.add(arrivals.next_gap());
-  EXPECT_GT(s.mean(), 1.0 / 10.0);
-  EXPECT_LT(s.mean(), 1.0 / 0.5);
-}
-
-TEST(BurstyArrivals, Validation) {
-  EXPECT_THROW(BurstyArrivals(0.0, 1.0, 5.0, Rng(1)), PreconditionError);
-  EXPECT_THROW(BurstyArrivals(1.0, 1.0, 0.5, Rng(1)), PreconditionError);
-}
-
 TEST(DriveArrivals, SchedulesCountEventsInOrder) {
   Simulator sim;
-  FixedArrivals arrivals(1.0);
+  EveryGap arrivals(1.0);
   std::vector<std::size_t> seen;
   std::vector<double> times;
   drive_arrivals(sim, arrivals, 5, [&](std::size_t i, SimTime t) {
@@ -225,7 +175,7 @@ TEST(DriveArrivals, SchedulesCountEventsInOrder) {
 
 TEST(DriveArrivals, CallbackOutlivesCall) {
   Simulator sim;
-  FixedArrivals arrivals(1.0);
+  EveryGap arrivals(1.0);
   int count = 0;
   {
     // The callback goes out of scope before run(); drive_arrivals must have

@@ -30,6 +30,10 @@ namespace {
 
 // ------------------------------------------------- queue conformance
 
+/// The simulator drains the calendar through pop_if_at_most, unbounded
+/// (step) or bounded; an infinite bound pops any minimum.
+constexpr SimTime kNoBound = std::numeric_limits<SimTime>::infinity();
+
 /// Pops everything from both queues (staged with the same nodes) and
 /// requires identical sequences.  ReferenceHeapQueue ignores the intrusive
 /// link, so the same node can sit in both queues at once.
@@ -37,14 +41,14 @@ void expect_same_drain(CalendarQueue& calendar, ReferenceHeapQueue& heap) {
   ASSERT_EQ(calendar.size(), heap.size());
   while (!heap.empty()) {
     EventNode* expected = heap.pop();
-    EventNode* got = calendar.pop();
+    EventNode* got = calendar.pop_if_at_most(kNoBound);
     ASSERT_EQ(got, expected)
         << "divergence at seq " << expected->seq << " time "
         << expected->time;
     got->next = nullptr;  // re-stage-able
   }
   EXPECT_TRUE(calendar.empty());
-  EXPECT_EQ(calendar.pop(), nullptr);
+  EXPECT_EQ(calendar.pop_if_at_most(kNoBound), nullptr);
 }
 
 std::vector<EventNode> make_nodes(std::size_t n) {
@@ -95,7 +99,7 @@ TEST(CalendarConformance, InterleavedPushPopMatchesTheHeap) {
       heap.push(&node);
     } else {
       EventNode* expected = heap.pop();
-      EventNode* got = calendar.pop();
+      EventNode* got = calendar.pop_if_at_most(kNoBound);
       ASSERT_EQ(got, expected);
       got->next = nullptr;
       low_bound = expected->time;
@@ -114,7 +118,7 @@ TEST(CalendarConformance, TimestampCollisionsPopInScheduleOrder) {
   }
   std::uint64_t last_seq = 0;
   double last_time = -1.0;
-  while (EventNode* node = calendar.pop()) {
+  while (EventNode* node = calendar.pop_if_at_most(kNoBound)) {
     if (node->time == last_time) {
       EXPECT_LT(last_seq, node->seq) << "FIFO tie-break violated";
     } else {
@@ -130,14 +134,15 @@ TEST(CalendarConformance, EarlierPushAfterFarFutureScanRewindsTheCursor) {
   CalendarQueue calendar;
   nodes[0].time = 1e9;
   calendar.push(&nodes[0]);
-  EXPECT_EQ(calendar.pop(), &nodes[0]);  // cursor jumped far ahead
+  // The cursor jumps far ahead.
+  EXPECT_EQ(calendar.pop_if_at_most(kNoBound), &nodes[0]);
   nodes[0].next = nullptr;
   nodes[1].time = 2e9;
   calendar.push(&nodes[1]);
   nodes[2].time = 1.0;  // earlier than the cursor: push must rewind
   calendar.push(&nodes[2]);
-  EXPECT_EQ(calendar.pop(), &nodes[2]);
-  EXPECT_EQ(calendar.pop(), &nodes[1]);
+  EXPECT_EQ(calendar.pop_if_at_most(kNoBound), &nodes[2]);
+  EXPECT_EQ(calendar.pop_if_at_most(kNoBound), &nodes[1]);
 }
 
 TEST(CalendarConformance, ResizeAndRolloverEdges) {
@@ -173,9 +178,12 @@ TEST(CalendarConformance, PopIfAtMostHonorsTheBound) {
   EXPECT_EQ(calendar.pop_if_at_most(3.5), &nodes[0]);
   nodes[0].next = nullptr;
   EXPECT_EQ(calendar.size(), 9u);
-  calendar.clear();
+  EXPECT_EQ(calendar.pop_if_at_most(0.5), nullptr);  // min is now 1.0
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    EXPECT_EQ(calendar.pop_if_at_most(kNoBound), &nodes[i]);
+  }
   EXPECT_TRUE(calendar.empty());
-  EXPECT_EQ(calendar.pop(), nullptr);
+  EXPECT_EQ(calendar.pop_if_at_most(kNoBound), nullptr);
 }
 
 // ------------------------------------------------- arena / ObjectPool

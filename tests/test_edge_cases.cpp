@@ -35,17 +35,6 @@ TEST(EdgeCases, EmptyTableStillRenders) {
 
 // ---------------------------------------------------------------- DES
 
-TEST(EdgeCases, RunUntilThenResumeKeepsDeferredEvent) {
-  des::Simulator sim;
-  bool ran = false;
-  sim.schedule_at(10.0, [&] { ran = true; });
-  sim.run_until(5.0);
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(sim.pending_events(), 1u);  // pushed back, still pending
-  sim.run();
-  EXPECT_TRUE(ran);
-}
-
 TEST(EdgeCases, ZeroDelayEventRunsAtCurrentTime) {
   des::Simulator sim;
   double at = -1.0;
@@ -56,15 +45,15 @@ TEST(EdgeCases, ZeroDelayEventRunsAtCurrentTime) {
   EXPECT_EQ(at, 3.0);
 }
 
-TEST(EdgeCases, CancelledHeadDoesNotStallRunUntil) {
+TEST(EdgeCases, CancelledHeadDoesNotStallStep) {
   des::Simulator sim;
   const des::EventId head = sim.schedule_at(1.0, [] {});
   bool ran = false;
   sim.schedule_at(2.0, [&] { ran = true; });
   sim.cancel(head);
-  sim.run_until(5.0);
+  EXPECT_TRUE(sim.step());  // skips the cancelled head, runs the next
   EXPECT_TRUE(ran);
-  EXPECT_EQ(sim.now(), 5.0);
+  EXPECT_EQ(sim.now(), 2.0);
 }
 
 // ---------------------------------------------------------------- sched

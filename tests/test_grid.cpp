@@ -19,7 +19,7 @@ TEST(ActivityCatalog, AddAndLookup) {
   const ActivityId print = catalog.add("print");
   const ActivityId store = catalog.add("store");
   EXPECT_EQ(catalog.size(), 2u);
-  EXPECT_EQ(catalog.name(print), "print");
+  EXPECT_EQ(catalog.id_of("print"), print);
   EXPECT_EQ(catalog.id_of("store"), store);
   EXPECT_TRUE(catalog.contains("print"));
   EXPECT_FALSE(catalog.contains("render"));
@@ -31,7 +31,6 @@ TEST(ActivityCatalog, RejectsDuplicatesAndEmpty) {
   EXPECT_THROW(catalog.add("print"), PreconditionError);
   EXPECT_THROW(catalog.add(""), PreconditionError);
   EXPECT_THROW(catalog.id_of("missing"), PreconditionError);
-  EXPECT_THROW(catalog.name(5), PreconditionError);
 }
 
 TEST(ActivityCatalog, StandardHasEightDistinctActivities) {
@@ -44,6 +43,15 @@ TEST(ActivityCatalog, StandardHasEightDistinctActivities) {
 }
 
 // ---------------------------------------------------------------- domains
+
+/// Machines of resource domain `rd`, counted through domain_of_machine.
+std::size_t machines_in(const GridSystem& grid, ResourceDomainId rd) {
+  std::size_t n = 0;
+  for (const Machine& m : grid.machines()) {
+    if (grid.domain_of_machine(m.id) == rd) ++n;
+  }
+  return n;
+}
 
 TEST(ResourceDomain, EmptySupportMeansEverything) {
   ResourceDomain rd;
@@ -72,7 +80,6 @@ TEST(GridSystemBuilder, BuildsWellFormedSystem) {
   builder.add_machine(campus, "c1");
   builder.add_machine(campus, "c2");
   const MachineId l1 = builder.add_machine(lab, "l1");
-  builder.set_default_rtls(lab, trust::TrustLevel::kD, trust::TrustLevel::kC);
   const GridSystem grid = builder.build();
 
   EXPECT_EQ(grid.grid_domains().size(), 2u);
@@ -80,12 +87,8 @@ TEST(GridSystemBuilder, BuildsWellFormedSystem) {
   EXPECT_EQ(grid.client_domains().size(), 2u);
   EXPECT_EQ(grid.machines().size(), 3u);
   EXPECT_EQ(grid.domain_of_machine(l1), grid.grid_domains()[lab].resource_domain);
-  EXPECT_EQ(grid.resource_domain(1).default_required_level,
-            trust::TrustLevel::kD);
-  EXPECT_EQ(grid.client_domain(1).default_required_level,
-            trust::TrustLevel::kC);
-  EXPECT_EQ(grid.machines_in(0).size(), 2u);
-  EXPECT_EQ(grid.machines_in(1).size(), 1u);
+  EXPECT_EQ(machines_in(grid, 0), 2u);
+  EXPECT_EQ(machines_in(grid, 1), 1u);
 }
 
 TEST(GridSystemBuilder, ClientsBelongToTheirDomains) {
@@ -93,18 +96,21 @@ TEST(GridSystemBuilder, ClientsBelongToTheirDomains) {
   const GridDomainId campus = builder.add_grid_domain("campus");
   const GridDomainId lab = builder.add_grid_domain("lab");
   builder.add_machine(campus, "m");
-  const ClientId alice = builder.add_client(campus, "alice");
-  const ClientId bob = builder.add_client(lab, "bob");
-  const ClientId carol = builder.add_client(campus, "carol");
-  const GridSystem grid = builder.build();
+  const GridSystem base = builder.build();
+  const ClientDomainId campus_cd = base.grid_domains()[campus].client_domain;
+  const ClientDomainId lab_cd = base.grid_domains()[lab].client_domain;
+  const ClientId alice = 0;
+  const ClientId bob = 1;
+  const GridSystem grid(base.activities(), base.grid_domains(),
+                        base.resource_domains(), base.client_domains(),
+                        base.machines(),
+                        {{alice, "alice", campus_cd},
+                         {bob, "bob", lab_cd},
+                         {2, "carol", campus_cd}});
   EXPECT_EQ(grid.clients().size(), 3u);
   EXPECT_EQ(grid.client(alice).name, "alice");
-  EXPECT_EQ(grid.client(bob).client_domain,
-            grid.grid_domains()[lab].client_domain);
-  EXPECT_EQ(grid.clients_in(grid.grid_domains()[campus].client_domain),
-            (std::vector<ClientId>{alice, carol}));
+  EXPECT_EQ(grid.client(bob).client_domain, lab_cd);
   EXPECT_THROW(grid.client(9), PreconditionError);
-  EXPECT_THROW(grid.clients_in(9), PreconditionError);
 }
 
 TEST(GridSystem, ValidatesClientReferences) {
@@ -146,9 +152,7 @@ TEST(GridSystemBuilder, SupportedActivitiesRestrictTheRd) {
 TEST(GridSystemBuilder, RejectsUnknownDomain) {
   GridSystemBuilder builder(ActivityCatalog::standard());
   EXPECT_THROW(builder.add_machine(0, "m"), PreconditionError);
-  EXPECT_THROW(builder.set_default_rtls(3, trust::TrustLevel::kA,
-                                        trust::TrustLevel::kA),
-               PreconditionError);
+  EXPECT_THROW(builder.set_supported_activities(3, {0}), PreconditionError);
 }
 
 TEST(GridSystemBuilder, BuildRequiresMachines) {
@@ -160,16 +164,15 @@ TEST(GridSystemBuilder, BuildRequiresMachines) {
 TEST(GridSystem, ValidatesCrossReferences) {
   ActivityCatalog catalog = ActivityCatalog::standard();
   std::vector<GridDomain> gds{{0, "g", 0, 0}};
-  std::vector<ResourceDomain> rds{{0, "r", 0, {}, trust::TrustLevel::kA}};
-  std::vector<ClientDomain> cds{{0, "c", 0, trust::TrustLevel::kA}};
+  std::vector<ResourceDomain> rds{{0, "r", 0, {}}};
+  std::vector<ClientDomain> cds{{0, "c", 0}};
   // Machine points at a non-existent resource domain.
   std::vector<Machine> bad{{0, "m", 7}};
   EXPECT_THROW(
       GridSystem(catalog, gds, rds, cds, bad), PreconditionError);
   // Resource domain supports an unknown activity.
   std::vector<Machine> machines{{0, "m", 0}};
-  std::vector<ResourceDomain> bad_rd{
-      {0, "r", 0, {999}, trust::TrustLevel::kA}};
+  std::vector<ResourceDomain> bad_rd{{0, "r", 0, {999}}};
   EXPECT_THROW(GridSystem(catalog, gds, bad_rd, cds, machines),
                PreconditionError);
 }
@@ -179,10 +182,9 @@ TEST(GridSystem, AccessorsAreBoundsChecked) {
   const GridDomainId gd = builder.add_grid_domain("gd");
   builder.add_machine(gd, "m");
   const GridSystem grid = builder.build();
-  EXPECT_THROW(grid.machine(5), PreconditionError);
+  EXPECT_THROW(grid.domain_of_machine(5), PreconditionError);
   EXPECT_THROW(grid.resource_domain(5), PreconditionError);
   EXPECT_THROW(grid.client_domain(5), PreconditionError);
-  EXPECT_THROW(grid.machines_in(5), PreconditionError);
 }
 
 // ---------------------------------------------------------------- random grid
@@ -202,7 +204,7 @@ TEST_P(RandomGridSweep, TopologyRespectsPaperRanges) {
 
   // Every resource domain owns at least one machine.
   for (const ResourceDomain& rd : grid.resource_domains()) {
-    EXPECT_GE(grid.machines_in(rd.id).size(), 1u) << "rd " << rd.id;
+    EXPECT_GE(machines_in(grid, rd.id), 1u) << "rd " << rd.id;
   }
   // Machines reference valid domains (the GridSystem constructor validated,
   // but assert the public accessors agree).
@@ -238,7 +240,7 @@ TEST(RandomGrid, RdDrawCappedByMachineCount) {
     const GridSystem grid = make_random_grid(params, rng);
     EXPECT_LE(grid.resource_domains().size(), 2u);
     for (const ResourceDomain& rd : grid.resource_domains()) {
-      EXPECT_GE(grid.machines_in(rd.id).size(), 1u);
+      EXPECT_GE(machines_in(grid, rd.id), 1u);
     }
   }
 }

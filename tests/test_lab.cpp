@@ -65,13 +65,23 @@ std::string temp_dir(const std::string& leaf) {
   return dir.string();
 }
 
+/// "name=value name=value" in axis order.
+std::string label(const Cell& cell) {
+  std::string out;
+  for (const auto& [key, value] : cell.params) {
+    if (!out.empty()) out += ' ';
+    out += key + '=' + value.canonical();
+  }
+  return out;
+}
+
 TEST(SweepSpecTest, ExpandsCellsRowMajorWithLastAxisFastest) {
   const std::vector<Cell> cells = tiny_spec().cells();
   ASSERT_EQ(cells.size(), 6u);
-  EXPECT_EQ(cells[0].label(), "alpha=1 mode=fast");
-  EXPECT_EQ(cells[1].label(), "alpha=1 mode=slow");
-  EXPECT_EQ(cells[2].label(), "alpha=2 mode=fast");
-  EXPECT_EQ(cells[5].label(), "alpha=3 mode=slow");
+  EXPECT_EQ(label(cells[0]), "alpha=1 mode=fast");
+  EXPECT_EQ(label(cells[1]), "alpha=1 mode=slow");
+  EXPECT_EQ(label(cells[2]), "alpha=2 mode=fast");
+  EXPECT_EQ(label(cells[5]), "alpha=3 mode=slow");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(cells[i].index, i);
   }
@@ -483,7 +493,7 @@ SweepSpec failing_spec(std::set<std::size_t> failing_reps,
     for (const std::size_t rep : failing_reps) {
       if (cell.number("alpha") == failing_alpha &&
           rep_seed == derive_rep_seed(99, cell_param_hash(cell), rep)) {
-        throw PreconditionError("synthetic failure in " + cell.label());
+        throw PreconditionError("synthetic failure in " + label(cell));
       }
     }
     obs::RunReport report;
@@ -1141,7 +1151,7 @@ TEST(JsonInTest, ParsesScalarsContainersAndEscapes) {
       "\"z\":null}");
   EXPECT_EQ(value.at("a").as_array().size(), 3u);
   EXPECT_EQ(value.at("a").as_array()[2].as_number(), -300.0);
-  EXPECT_TRUE(value.at("b").at("nested").as_bool());
+  EXPECT_EQ(value.at("b").at("nested").kind(), obs::JsonValue::Kind::kBool);
   EXPECT_EQ(value.at("s").as_string(), "q\"A");
   EXPECT_TRUE(value.at("z").is_null());
   EXPECT_FALSE(value.has("missing"));
@@ -1172,6 +1182,28 @@ TEST(JsonInTest, RejectsMalformedDocuments) {
   EXPECT_THROW((void)obs::parse_json("{\"a\":1} trailing"),
                PreconditionError);
   EXPECT_THROW((void)obs::parse_json("\"unterminated"), PreconditionError);
+}
+
+TEST(JsonInTest, RejectsNestingDeeperThanTheLimit) {
+  // 200,000 nested openers overflowed the stack before the limit.
+  for (const std::string opener : {"[", "{\"a\":"}) {
+    std::string deep;
+    for (int i = 0; i < 200000; ++i) deep += opener;
+    try {
+      (void)obs::parse_json(deep);
+      ADD_FAILURE() << "parsed 200000 nested " << opener;
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find("deeper than 64"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // 64 levels parse; 65 do not.
+  EXPECT_NO_THROW(
+      (void)obs::parse_json(std::string(64, '[') + std::string(64, ']')));
+  EXPECT_THROW(
+      (void)obs::parse_json(std::string(65, '[') + std::string(65, ']')),
+      PreconditionError);
 }
 
 }  // namespace

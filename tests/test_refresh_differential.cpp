@@ -43,6 +43,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
+#include "random_decay.hpp"
 #include "trust/agents.hpp"
 #include "trust/decay.hpp"
 #include "trust/gamma_policy.hpp"
@@ -54,6 +55,8 @@
 namespace gridtrust::trust {
 namespace {
 
+using testing_support::random_decay;
+
 constexpr std::uint64_t kFirstSeed = 1;
 constexpr std::uint64_t kSeeds = 1000;
 constexpr int kOpsPerSeed = 24;
@@ -63,19 +66,6 @@ const std::vector<std::string>& backends() {
   static const std::vector<std::string> names = {
       "gamma", "beta", "fuzzy", "purge:gamma", "purge:beta"};
   return names;
-}
-
-std::shared_ptr<const DecayFunction> random_decay(Rng& rng) {
-  switch (rng.index(4)) {
-    case 0:
-      return make_no_decay();
-    case 1:
-      return make_exponential_decay(rng.uniform(5.0, 50.0));
-    case 2:
-      return make_linear_decay(rng.uniform(20.0, 200.0));
-    default:
-      return make_step_decay(rng.uniform(5.0, 30.0), rng.uniform(0.1, 0.9));
-  }
 }
 
 ReputationParams random_params(Rng& rng, std::size_t entities,

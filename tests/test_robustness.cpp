@@ -81,7 +81,9 @@ TEST_P(ParserRobustness, MutatedTracesNeverEscapeValidation) {
   const auto requests = workload::generate_requests(grid, 8, {}, rng);
   const auto eec = workload::generate_eec(8, grid.machines().size(),
                                           workload::inconsistent_lolo(), rng);
-  std::string text = workload::trace_to_string(requests, eec);
+  std::ostringstream saved;
+  workload::save_trace(requests, eec, saved);
+  std::string text = saved.str();
   for (int round = 0; round < 40; ++round) {
     text = mutate(text, rng);
     try {
@@ -99,38 +101,6 @@ TEST_P(ParserRobustness, MutatedTracesNeverEscapeValidation) {
     } catch (const PreconditionError&) {
     } catch (const std::out_of_range&) {
       // std::stoull overflow on a mutated giant number is acceptable too.
-    }
-  }
-}
-
-TEST_P(ParserRobustness, MutatedEngineSnapshotsNeverEscapeValidation) {
-  Rng rng(GetParam() + 2000);
-  trust::TrustEngine engine({}, 4, 2);
-  for (int i = 0; i < 20; ++i) {
-    const auto a = static_cast<trust::EntityId>(rng.index(4));
-    auto b = static_cast<trust::EntityId>(rng.index(4));
-    if (a == b) b = static_cast<trust::EntityId>((b + 1) % 4);
-    engine.record_transaction({a, b, static_cast<trust::ContextId>(rng.index(2)),
-                               static_cast<double>(i), rng.uniform(1.0, 6.0)});
-  }
-  std::ostringstream os;
-  trust::save_engine(engine, os);
-  std::string text = os.str();
-  for (int round = 0; round < 40; ++round) {
-    text = mutate(text, rng);
-    trust::TrustEngine target({}, 4, 2);
-    std::istringstream is(text);
-    try {
-      trust::load_engine(target, is);
-      // If it loaded, all records must satisfy the engine's invariants.
-      for (const auto& entry : target.export_records()) {
-        ASSERT_NE(entry.truster, entry.trustee);
-        ASSERT_GE(entry.record.level, 0.0);
-        ASSERT_LE(entry.record.level, 6.0);
-        ASSERT_GE(entry.record.count, 1u);
-      }
-    } catch (const PreconditionError&) {
-    } catch (const std::out_of_range&) {
     }
   }
 }
@@ -156,7 +126,11 @@ TEST(DesStress, RandomScheduleCancelInterleavingStaysConsistent) {
       sim.cancel(live[pick]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
-      sim.run_until(sim.now() + rng.uniform(0.0, 5.0));
+      // Execute a few events between the schedule and cancel bursts.
+      const std::size_t steps = rng.index(4);
+      for (std::size_t k = 0; k < steps; ++k) {
+        if (!sim.step()) break;
+      }
     }
   }
   sim.run();

@@ -14,7 +14,6 @@
 #include "sched/problem.hpp"
 #include "sched/schedule.hpp"
 #include "sched/security_model.hpp"
-#include "trust/gamma_policy.hpp"
 
 namespace gridtrust::sched {
 namespace {
@@ -250,8 +249,8 @@ TEST(TrustCosts, UnsupportedActivityGetsPenalty) {
 
 TEST(TrustCosts, ToaOutsideTheCatalogIsRejected) {
   // ToA 9 is not in the standard 8-ToA catalog.  Whether or not the
-  // machine's RD has a support list, both overloads reject the request
-  // rather than pricing it as unsupported or reading past the catalog.
+  // machine's RD has a support list, pricing rejects the request rather
+  // than pricing it as unsupported or reading past the catalog.
   for (const bool support_list : {false, true}) {
     SCOPED_TRACE(support_list ? "support list" : "supports everything");
     grid::GridSystemBuilder builder(grid::ActivityCatalog::standard());
@@ -266,14 +265,6 @@ TEST(TrustCosts, ToaOutsideTheCatalogIsRejected) {
     const trust::TrustLevelTable table(1, 1, 8);
     EXPECT_THROW(compute_trust_costs(g, {req}, table, SecurityCostModel{}),
                  PreconditionError);
-    // The live overload, with a policy whose contexts cover ToA 9.
-    const trust::DomainTrustBridge bridge(
-        std::make_unique<trust::GammaReputationPolicy>(
-            trust::TrustEngineConfig{}, 2, 10),
-        1, 1, 10);
-    EXPECT_THROW(
-        compute_trust_costs(g, {req}, bridge, 0.0, SecurityCostModel{}),
-        PreconditionError);
   }
 }
 

@@ -1,4 +1,4 @@
-// Tests for trust-state persistence (table and engine round-trips).
+// Tests for trust-level table persistence: round trips and strict loading.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -76,110 +76,56 @@ TEST(TableSerialization, RejectsCorruptInput) {
       PreconditionError);  // missing rows
 }
 
-TEST(EngineSerialization, RoundTripPreservesRecordsExactly) {
-  TrustEngine original({}, 6, 3);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const auto a = static_cast<EntityId>(rng.index(6));
-    auto b = static_cast<EntityId>(rng.index(6));
-    if (a == b) b = static_cast<EntityId>((b + 1) % 6);
-    original.record_transaction({a, b,
-                                 static_cast<ContextId>(rng.index(3)),
-                                 static_cast<double>(i),
-                                 rng.uniform(1.0, 6.0)});
-  }
+// A dims line is a claim the rows must back: the loader allocates only
+// after every row is in, and each (cd, rd) row appears exactly once.
 
-  std::ostringstream os;
-  save_engine(original, os);
-  TrustEngine restored({}, 6, 3);
-  std::istringstream is(os.str());
-  load_engine(restored, is);
+constexpr const char* kTableHeader = "gridtrust-trust-table v1\n";
 
-  EXPECT_EQ(restored.transaction_count(), original.transaction_count());
-  const auto a_records = original.export_records();
-  const auto b_records = restored.export_records();
-  ASSERT_EQ(a_records.size(), b_records.size());
-  for (std::size_t i = 0; i < a_records.size(); ++i) {
-    EXPECT_EQ(a_records[i].truster, b_records[i].truster);
-    EXPECT_EQ(a_records[i].trustee, b_records[i].trustee);
-    EXPECT_EQ(a_records[i].context, b_records[i].context);
-    // Bit-exact round trip (precision 17).
-    EXPECT_EQ(a_records[i].record.level, b_records[i].record.level);
-    EXPECT_EQ(a_records[i].record.last_time, b_records[i].record.last_time);
-    EXPECT_EQ(a_records[i].record.count, b_records[i].record.count);
-  }
-  // The restored engine answers queries identically.
-  EXPECT_EQ(original.eventual_trust(0, 1, 0, 1000.0),
-            restored.eventual_trust(0, 1, 0, 1000.0));
+TEST(TableSerialization, DimsWhoseProductWrapsAreRejected) {
+  // 2^32 x 2^32 x 1 wraps size_t to 0: a table claiming 2^64 entries over
+  // no storage, which the first offered_trust_level read runs off.
+  EXPECT_THROW(table_from_string(std::string(kTableHeader) +
+                                 "dims 4294967296 4294967296 1\n"
+                                 "row 0 0 A\n"),
+               PreconditionError);
+  EXPECT_THROW(TrustLevelTable(std::size_t{1} << 32, std::size_t{1} << 32, 1),
+               PreconditionError);
+  EXPECT_THROW(TrustLevelTable(2, std::size_t{1} << 62, 4),
+               PreconditionError);
 }
 
-TEST(EngineSerialization, LoadIntoLargerEngineWorks) {
-  TrustEngine small({}, 3, 1);
-  small.record_transaction({0, 1, 0, 1.0, 4.0});
-  std::ostringstream os;
-  save_engine(small, os);
-  TrustEngine big({}, 10, 4);
-  std::istringstream is(os.str());
-  load_engine(big, is);
-  EXPECT_TRUE(big.direct_record(0, 1, 0).has_value());
+TEST(TableSerialization, NegativeDimsAreRejected) {
+  // operator>> would read -1 as 2^64 - 1.
+  for (const char* dims : {"dims -1 1 1\n", "dims 1 -1 1\n", "dims 1 1 -1\n",
+                           "dims +1 1 1\n"}) {
+    EXPECT_THROW(table_from_string(std::string(kTableHeader) + dims +
+                                   "row 0 0 A\n"),
+                 PreconditionError)
+        << dims;
+  }
+  EXPECT_THROW(table_from_string(std::string(kTableHeader) +
+                                 "dims 1 1 1\nrow -0 0 A\n"),
+               PreconditionError);
 }
 
-TEST(EngineSerialization, LoadIntoSmallerEngineFails) {
-  TrustEngine original({}, 6, 2);
-  original.record_transaction({0, 5, 1, 1.0, 4.0});
-  std::ostringstream os;
-  save_engine(original, os);
-  TrustEngine tiny({}, 2, 1);
-  std::istringstream is(os.str());
-  EXPECT_THROW(load_engine(tiny, is), PreconditionError);
+TEST(TableSerialization, HugeDimsNeedTheirRowsBeforeAnyAllocation) {
+  // Two lines must not ask for 100000 x 100000 x 8 bytes (80 GB).
+  EXPECT_THROW(table_from_string(std::string(kTableHeader) +
+                                 "dims 100000 100000 8\n"
+                                 "row 0 0 ABCDEABC\n"),
+               PreconditionError);
 }
 
-TEST(EngineSerialization, RefusesToOverwriteExistingRecords) {
-  TrustEngine original({}, 3, 1);
-  original.record_transaction({0, 1, 0, 1.0, 4.0});
-  std::ostringstream os;
-  save_engine(original, os);
-  TrustEngine target({}, 3, 1);
-  target.record_transaction({0, 1, 0, 0.5, 2.0});
-  std::istringstream is(os.str());
-  EXPECT_THROW(load_engine(target, is), PreconditionError);
-}
-
-TEST(EngineSerialization, RejectsCorruptRecords) {
-  TrustEngine engine({}, 3, 1);
-  const std::string header = "gridtrust-trust-engine v1\ndims 3 1\n";
-  {
-    std::istringstream is(header + "rec 0 0 0 4.0 1.0 2\n");  // self trust
-    EXPECT_THROW(load_engine(engine, is), PreconditionError);
-  }
-  {
-    std::istringstream is(header + "rec 0 1 0 9.0 1.0 2\n");  // level > 6
-    EXPECT_THROW(load_engine(engine, is), PreconditionError);
-  }
-  {
-    std::istringstream is(header + "rec 0 1 0 4.0 1.0 0\n");  // zero count
-    EXPECT_THROW(load_engine(engine, is), PreconditionError);
-  }
-  {
-    std::istringstream is(header + "bogus line\n");
-    EXPECT_THROW(load_engine(engine, is), PreconditionError);
-  }
-}
-
-TEST(EngineExport, ImportRecordValidation) {
-  TrustEngine engine({}, 3, 1);
-  TrustEngine::Entry entry;
-  entry.truster = 0;
-  entry.trustee = 9;  // out of range
-  entry.record.count = 1;
-  entry.record.level = 3.0;
-  EXPECT_THROW(engine.import_record(entry), PreconditionError);
-  entry.trustee = 1;
-  entry.record.last_time = -1.0;
-  EXPECT_THROW(engine.import_record(entry), PreconditionError);
-  entry.record.last_time = 0.0;
-  engine.import_record(entry);
-  EXPECT_EQ(engine.transaction_count(), 1u);
+TEST(TableSerialization, EveryRowAppearsExactlyOnce) {
+  // Row (0, 0) twice and no row (0, 1): the old loader left (0, 1) at A.
+  EXPECT_THROW(table_from_string(std::string(kTableHeader) +
+                                 "dims 1 2 1\nrow 0 0 C\nrow 0 0 D\n"),
+               PreconditionError);
+  // Any row order loads.
+  const TrustLevelTable table = table_from_string(
+      std::string(kTableHeader) + "dims 1 2 2\nrow 0 1 DE\nrow 0 0 BC\n");
+  EXPECT_EQ(table.get(0, 0, 1), TrustLevel::kC);
+  EXPECT_EQ(table.get(0, 1, 0), TrustLevel::kD);
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 // policies, exact check counts, violations thrown — are asserted exactly.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "sfi/harness.hpp"
 #include "sfi/hotlist.hpp"
@@ -103,34 +107,54 @@ TEST(Sandbox, ViolationMessageNamesTheAddress) {
 
 // ---------------------------------------------------------------- MD5
 
+/// Lowercase hex of a digest.
+std::string hex(const Md5Digest& digest) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t byte : digest) {
+    out += kHex[byte >> 4];
+    out += kHex[byte & 0x0f];
+  }
+  return out;
+}
+
+/// MD5 of `text` stored at `addr` of a native heap: the harness's path.
+std::string heap_md5(const std::string& text, std::size_t addr = 0) {
+  NativeMemory heap(addr + text.size() + 1);
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    heap.store8(addr + i, static_cast<std::uint8_t>(text[i]));
+  }
+  return hex(md5_of_heap(heap, addr, text.size()));
+}
+
 TEST(Md5, Rfc1321TestVectors) {
-  EXPECT_EQ(to_hex(md5("")), "d41d8cd98f00b204e9800998ecf8427e");
-  EXPECT_EQ(to_hex(md5("a")), "0cc175b9c0f1b6a831c399e269772661");
-  EXPECT_EQ(to_hex(md5("abc")), "900150983cd24fb0d6963f7d28e17f72");
-  EXPECT_EQ(to_hex(md5("message digest")),
-            "f96b697d7cb7938d525a2f31aaf161d0");
-  EXPECT_EQ(to_hex(md5("abcdefghijklmnopqrstuvwxyz")),
+  EXPECT_EQ(heap_md5(""), "d41d8cd98f00b204e9800998ecf8427e");
+  EXPECT_EQ(heap_md5("a"), "0cc175b9c0f1b6a831c399e269772661");
+  EXPECT_EQ(heap_md5("abc"), "900150983cd24fb0d6963f7d28e17f72");
+  EXPECT_EQ(heap_md5("message digest"), "f96b697d7cb7938d525a2f31aaf161d0");
+  EXPECT_EQ(heap_md5("abcdefghijklmnopqrstuvwxyz"),
             "c3fcd3d76192e4007dfb496cca67e13b");
   EXPECT_EQ(
-      to_hex(md5("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345"
-                 "6789")),
+      heap_md5("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345"
+               "6789"),
       "d174ab98d277d9f5a5611c2c9f419d9f");
   EXPECT_EQ(
-      to_hex(md5("1234567890123456789012345678901234567890123456789012345678"
-                 "9012345678901234567890")),
+      heap_md5("1234567890123456789012345678901234567890123456789012345678"
+               "9012345678901234567890"),
       "57edf4a22be3c955ac49da2e2107b67a");
 }
 
 TEST(Md5, ExactBlockBoundaries) {
   // 55, 56, 63, 64, 65 bytes cross the padding edge cases.
-  for (const std::size_t len : {55u, 56u, 63u, 64u, 65u, 128u}) {
-    const std::string msg(len, 'x');
-    const Md5Digest reference = md5(msg);
-    NativeMemory heap(256);
-    for (std::size_t i = 0; i < len; ++i) {
-      heap.store8(i, static_cast<std::uint8_t>('x'));
-    }
-    EXPECT_EQ(md5_of_heap(heap, 0, len), reference) << len;
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "04364420e25c512fd958a70738aa8f72"},
+      {56, "668a72d5ba17f08e62dabcafad6db14b"},
+      {63, "7dc2ca208106a2f703567bdff99d8981"},
+      {64, "c1bb4f81d892b2d57947682aeb252456"},
+      {65, "1bc932052302d074bdec39795fe00cf6"},
+      {128, "d69cb61a6ee87200676eb0d4b90edbcb"}};
+  for (const auto& [len, digest] : cases) {
+    EXPECT_EQ(heap_md5(std::string(len, 'x')), digest) << len;
   }
 }
 
@@ -148,8 +172,7 @@ TEST(Md5, HeapDigestsIdenticalAcrossPolicies) {
     misfit.store8(i, bytes[i]);
     sasi.store8(i, bytes[i]);
   }
-  const Md5Digest reference = md5(bytes.data(), len);
-  EXPECT_EQ(md5_of_heap(native, 0, len), reference);
+  const Md5Digest reference = md5_of_heap(native, 0, len);
   EXPECT_EQ(md5_of_heap(misfit, 0, len), reference);
   EXPECT_EQ(md5_of_heap(sasi, 0, len), reference);
   EXPECT_GT(misfit.check_count(), 0u);
@@ -159,12 +182,9 @@ TEST(Md5, HeapDigestsIdenticalAcrossPolicies) {
 }
 
 TEST(Md5, UnalignedStartFallsBackToBytePath) {
-  NativeMemory heap(256);
   const std::string msg = "the quick brown fox jumps over the lazy dog again";
-  for (std::size_t i = 0; i < msg.size(); ++i) {
-    heap.store8(3 + i, static_cast<std::uint8_t>(msg[i]));
-  }
-  EXPECT_EQ(md5_of_heap(heap, 3, msg.size()), md5(msg));
+  EXPECT_EQ(heap_md5(msg, 3), "7f89acce6a42fce6f93fdf425fc38c1d");
+  EXPECT_EQ(heap_md5(msg, 3), heap_md5(msg, 0));
 }
 
 // ---------------------------------------------------------------- hotlist

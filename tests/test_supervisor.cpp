@@ -451,21 +451,5 @@ TEST(SupervisorTest, MergeDropsForeignJournalsAndForeignCells) {
   }
 }
 
-TEST(SupervisorTest, CountersSurfaceAsLabSupervisorReportEntries) {
-  SupervisorCounters counters;
-  counters.workers_spawned = 5;
-  counters.workers_lost = 2;
-  counters.workers_respawned = 1;
-  counters.cells_reassigned = 3;
-  counters.heartbeats_missed = 2;
-  obs::RunReport report;
-  counters.to_report(report);
-  EXPECT_EQ(report.get("lab.supervisor.workers_spawned"), 5.0);
-  EXPECT_EQ(report.get("lab.supervisor.workers_lost"), 2.0);
-  EXPECT_EQ(report.get("lab.supervisor.workers_respawned"), 1.0);
-  EXPECT_EQ(report.get("lab.supervisor.cells_reassigned"), 3.0);
-  EXPECT_EQ(report.get("lab.supervisor.heartbeats_missed"), 2.0);
-}
-
 }  // namespace
 }  // namespace gridtrust::lab

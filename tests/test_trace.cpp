@@ -1,4 +1,6 @@
-// Tests for workload traces (save/replay) and meta-request formation.
+// Tests for workload traces (save/replay), seeded malformed-input sweeps
+// of the three text parsers (traces, trust tables and JSON), and
+// meta-request formation in batch-mode run_trms.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -7,9 +9,11 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/json_in.hpp"
 #include "sched/executor.hpp"
 #include "sched/problem.hpp"
 #include "sim/trm_simulation.hpp"
+#include "trust/serialization.hpp"
 #include "workload/heterogeneity.hpp"
 #include "workload/request_gen.hpp"
 #include "workload/trace.hpp"
@@ -35,10 +39,16 @@ Instance make_instance(std::uint64_t seed, std::size_t tasks = 20) {
   return out;
 }
 
+/// save_trace's text for an instance.
+std::string saved(const Instance& instance) {
+  std::ostringstream os;
+  save_trace(instance.requests, instance.eec, os);
+  return os.str();
+}
+
 TEST(Trace, RoundTripPreservesRequestsExactly) {
   const Instance original = make_instance(1);
-  const Trace restored =
-      trace_from_string(trace_to_string(original.requests, original.eec));
+  const Trace restored = trace_from_string(saved(original));
   ASSERT_EQ(restored.requests.size(), original.requests.size());
   for (std::size_t i = 0; i < original.requests.size(); ++i) {
     const grid::Request& a = original.requests[i];
@@ -55,8 +65,7 @@ TEST(Trace, RoundTripPreservesRequestsExactly) {
 
 TEST(Trace, RoundTripPreservesEecExactly) {
   const Instance original = make_instance(2);
-  const Trace restored =
-      trace_from_string(trace_to_string(original.requests, original.eec));
+  const Trace restored = trace_from_string(saved(original));
   ASSERT_EQ(restored.eec.rows(), original.eec.rows());
   ASSERT_EQ(restored.eec.cols(), original.eec.cols());
   for (std::size_t r = 0; r < original.eec.rows(); ++r) {
@@ -68,8 +77,7 @@ TEST(Trace, RoundTripPreservesEecExactly) {
 
 TEST(Trace, ReplayedInstanceSchedulesIdentically) {
   const Instance original = make_instance(3);
-  const Trace restored =
-      trace_from_string(trace_to_string(original.requests, original.eec));
+  const Trace restored = trace_from_string(saved(original));
 
   const auto schedule_of = [](const std::vector<grid::Request>& requests,
                               const sched::CostMatrix& eec) {
@@ -145,40 +153,45 @@ std::string mangle(std::string text, Rng& rng) {
   return text;
 }
 
-/// Parses `text`: either a well-formed trace or PreconditionError.
-void parse_or_reject(const std::string& text) {
-  try {
-    const Trace trace = trace_from_string(text);
-    ASSERT_FALSE(trace.requests.empty());
-    ASSERT_EQ(trace.eec.rows(), trace.requests.size());
-    for (const grid::Request& req : trace.requests) {
-      ASSERT_FALSE(req.activities.empty());
-      ASSERT_LE(req.activities.size(), grid::ActivityList::kCapacity);
-      ASSERT_GE(req.arrival_time, 0.0);
-    }
-    for (const double v : trace.eec.data()) ASSERT_GE(v, 0.0);
-  } catch (const PreconditionError&) {
-    // The classified rejection.
-  }
-}
-
-TEST(TraceFuzz, MalformedTracesParseOrThrowPreconditionError) {
-  const Instance original = make_instance(11, 6);
-  const std::string valid = trace_to_string(original.requests, original.eec);
+/// Parses 1000 seeded manglings of `valid` with `parse`: each input must
+/// parse or throw PreconditionError.  Reports the first failing seed.
+template <class Mangle, class Parse>
+void sweep_malformed(const char* what, const std::string& valid,
+                     Mangle mangle_input, Parse parse) {
   for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
     Rng rng(seed);
-    const std::string text = mangle(valid, rng);
+    const std::string text = mangle_input(valid, rng);
     try {
-      parse_or_reject(text);
+      parse(text);
+    } catch (const PreconditionError&) {
+      // The classified rejection.
     } catch (const std::exception& error) {
       ADD_FAILURE() << "escaped as " << typeid(error).name() << ": "
                     << error.what();
     }
-    if (HasFailure()) {
-      ADD_FAILURE() << "malformed trace at seed " << seed << ":\n" << text;
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "malformed " << what << " at seed " << seed << ":\n"
+                    << text.substr(0, 4096);
       break;
     }
   }
+}
+
+/// Parses `text` as a trace and checks that what parsed is well formed.
+void parse_trace(const std::string& text) {
+  const Trace trace = trace_from_string(text);
+  ASSERT_FALSE(trace.requests.empty());
+  ASSERT_EQ(trace.eec.rows(), trace.requests.size());
+  for (const grid::Request& req : trace.requests) {
+    ASSERT_FALSE(req.activities.empty());
+    ASSERT_LE(req.activities.size(), grid::ActivityList::kCapacity);
+    ASSERT_GE(req.arrival_time, 0.0);
+  }
+  for (const double v : trace.eec.data()) ASSERT_GE(v, 0.0);
+}
+
+TEST(TraceFuzz, MalformedTracesParseOrThrowPreconditionError) {
+  sweep_malformed("trace", saved(make_instance(11, 6)), mangle, parse_trace);
 }
 
 // Inputs the malformed-input sweep (or review) found, kept as seeds.
@@ -214,6 +227,73 @@ TEST(TraceFuzz, CommittedFindingsThrowPreconditionError) {
   }
 }
 
+TEST(TableFuzz, MalformedTablesParseOrThrowPreconditionError) {
+  trust::TrustLevelTable original(3, 4, 8);
+  Rng rng(12);
+  original.randomize(rng);
+  sweep_malformed(
+      "trust table", trust::table_to_string(original), mangle,
+      [](const std::string& text) {
+        const trust::TrustLevelTable table = trust::table_from_string(text);
+        for (std::size_t cd = 0; cd < table.client_domains(); ++cd) {
+          for (std::size_t rd = 0; rd < table.resource_domains(); ++rd) {
+            for (std::size_t act = 0; act < table.activities(); ++act) {
+              const int level = trust::to_numeric(table.get(cd, rd, act));
+              ASSERT_GE(level, 1);
+              ASSERT_LE(level, 5);
+            }
+          }
+        }
+      });
+}
+
+// What the table sweep found in the loader before rows were required
+// before allocation: dims whose product is too large for a vector
+// (std::length_error, sweep seed 19), too large to allocate
+// (std::bad_alloc, seed 172), or wraps to zero, which loaded a table over
+// no storage that the sweep's first read ran off (SIGSEGV, seed 954).
+TEST(TableFuzz, CommittedFindingsThrowPreconditionError) {
+  for (const std::string dims :
+       {"dims 3 18446744073709551615 8\n", "dims 4294967296 4 8\n",
+        "dims 9223372036854775808 4 8\n"}) {
+    SCOPED_TRACE(dims);
+    EXPECT_THROW(trust::table_from_string("gridtrust-trust-table v1\n" +
+                                          dims + "row 0 0 BDDEEAED\n"),
+                 PreconditionError);
+  }
+}
+
+/// mangle(), or nesting near and far past parse_json's 64-level limit: a
+/// run of '[' or '{"a":' openers inserted anywhere, or wrapped around the
+/// whole document with its closers.
+std::string mangle_json(std::string text, Rng& rng) {
+  if (rng.index(4) != 0) return mangle(std::move(text), rng);
+  const std::size_t depths[] = {58, 59, 60, 64, 1000, 200000};
+  const std::size_t depth = depths[rng.index(6)];
+  const bool array = rng.bernoulli(0.5);
+  std::string open;
+  std::string close(depth, array ? ']' : '}');
+  for (std::size_t i = 0; i < depth; ++i) open += array ? "[" : "{\"a\":";
+  if (rng.bernoulli(0.5)) return open + text + close;
+  text.insert(rng.index(text.size() + 1), open);
+  return text;
+}
+
+TEST(JsonFuzz, MalformedJsonParsesOrThrowsPreconditionError) {
+  // Manifest-shaped: five levels deep, like every committed manifest.
+  const std::string valid =
+      "{\"schema\":\"gridtrust-manifest v1\",\"spec\":{\"name\":\"fuzz\","
+      "\"axes\":[{\"name\":\"alpha\",\"values\":[1,2.5,-3e2]}]},"
+      "\"cells\":[{\"index\":0,\"params\":{\"mode\":\"fa\\\"st\\u0041\"},"
+      "\"metrics\":{\"makespan\":{\"mean\":1234.5,\"ci95\":0.25,"
+      "\"n\":18446744073709551615}},\"ok\":true,\"note\":null,"
+      "\"skip\":false}]}";
+  ASSERT_NO_THROW((void)obs::parse_json(valid));
+  sweep_malformed("JSON", valid, mangle_json, [](const std::string& text) {
+    (void)obs::parse_json(text);
+  });
+}
+
 TEST(Trace, SaveValidatesShape) {
   const Instance original = make_instance(4, 5);
   sched::CostMatrix wrong(3, 2, 1.0);
@@ -224,70 +304,56 @@ TEST(Trace, SaveValidatesShape) {
 
 // ------------------------------------------------------- meta-requests
 
-grid::Request at(double arrival, grid::RequestId id = 0) {
-  grid::Request r;
-  r.id = id;
-  r.activities = {0};
-  r.arrival_time = arrival;
-  return r;
-}
-
-TEST(MetaRequests, GroupsByFormationTick) {
-  const std::vector<grid::Request> requests = {
-      at(0.5, 0), at(9.9, 1), at(10.0, 2), at(10.1, 3), at(25.0, 4)};
-  const auto batches = form_meta_requests(requests, 10.0);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0].formed_at, 10.0);
-  EXPECT_EQ(batches[0].size(), 3u);  // 0.5, 9.9, 10.0 (on-tick joins)
-  EXPECT_EQ(batches[1].formed_at, 20.0);
-  EXPECT_EQ(batches[1].size(), 1u);
-  EXPECT_EQ(batches[2].formed_at, 30.0);
-  EXPECT_EQ(batches[2].size(), 1u);
-}
-
-TEST(MetaRequests, EmptyIntervalsProduceNoBatches) {
-  const auto batches =
-      form_meta_requests({at(1.0), at(100.0)}, 10.0);
-  ASSERT_EQ(batches.size(), 2u);
-  EXPECT_EQ(batches[0].batch_index, 0u);
-  EXPECT_EQ(batches[1].batch_index, 9u);
-  EXPECT_EQ(batches[1].formed_at, 100.0);
-}
-
-TEST(MetaRequests, ArrivalAtZeroJoinsFirstBatch) {
-  const auto batches = form_meta_requests({at(0.0)}, 5.0);
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].formed_at, 5.0);
-  EXPECT_FALSE(batches[0].empty());
-}
-
-TEST(MetaRequests, MatchesBatchSimulatorBatchCount) {
-  // The analytic grouping must agree with the event-driven RMS.
-  const Instance inst = make_instance(7, 40);
-  const double interval = 15.0;
-  const auto batches = form_meta_requests(inst.requests, interval);
-
-  sched::TrustCostMatrix tc(inst.requests.size(), inst.eec.cols(), 0);
-  std::vector<double> arrivals;
-  for (const auto& r : inst.requests) arrivals.push_back(r.arrival_time);
+/// run_trms in batch mode: one machine, a 0.01 s cost per request, so each
+/// request starts at the tick that formed its meta-request (plus the
+/// earlier members of that batch).
+sim::SimulationResult run_batches(const std::vector<double>& arrivals,
+                                  double interval) {
+  const std::size_t n = arrivals.size();
   const sched::SchedulingProblem problem(
-      inst.eec, tc, sched::trust_aware_policy(), sched::SecurityCostModel{},
-      arrivals);
+      sched::CostMatrix(n, 1, 0.01), sched::TrustCostMatrix(n, 1, 0),
+      sched::trust_aware_policy(), sched::SecurityCostModel{}, arrivals);
   sim::TrmsConfig cfg;
   cfg.mode = sim::SchedulingMode::kBatch;
   cfg.heuristic = "min-min";
   cfg.batch_interval = interval;
-  const sim::SimulationResult result = sim::run_trms(problem, cfg);
-  EXPECT_EQ(result.batches, batches.size());
-  std::size_t total = 0;
-  for (const auto& b : batches) total += b.size();
-  EXPECT_EQ(total, inst.requests.size());
+  return sim::run_trms(problem, cfg);
+}
+
+TEST(MetaRequests, GroupsByFormationTick) {
+  const sim::SimulationResult result =
+      run_batches({0.5, 9.9, 10.0, 10.1, 25.0}, 10.0);
+  ASSERT_EQ(result.batches, 3u);
+  // 0.5, 9.9 and 10.0 (on-tick joins) form at 10; 10.1 at 20; 25.0 at 30.
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_GE(result.schedule.start[r], 10.0);
+    EXPECT_LT(result.schedule.start[r], 10.03);
+  }
+  EXPECT_EQ(result.schedule.start[3], 20.0);
+  EXPECT_EQ(result.schedule.start[4], 30.0);
+}
+
+TEST(MetaRequests, EmptyIntervalsProduceNoBatches) {
+  const sim::SimulationResult result = run_batches({1.0, 100.0}, 10.0);
+  ASSERT_EQ(result.batches, 2u);
+  EXPECT_EQ(result.schedule.start[0], 10.0);
+  EXPECT_EQ(result.schedule.start[1], 100.0);
+}
+
+TEST(MetaRequests, ArrivalAtZeroJoinsFirstBatch) {
+  const sim::SimulationResult result = run_batches({0.0}, 5.0);
+  ASSERT_EQ(result.batches, 1u);
+  EXPECT_EQ(result.schedule.start[0], 5.0);
 }
 
 TEST(MetaRequests, Validation) {
-  EXPECT_THROW(form_meta_requests({at(1.0)}, 0.0), PreconditionError);
-  EXPECT_THROW(form_meta_requests({at(5.0, 0), at(1.0, 1)}, 10.0),
-               PreconditionError);  // unsorted arrivals
+  EXPECT_THROW(run_batches({1.0}, 0.0), PreconditionError);
+  EXPECT_THROW(run_batches({1.0}, -10.0), PreconditionError);
+  // Requests listed out of arrival order still batch by arrival.
+  const sim::SimulationResult result = run_batches({15.0, 1.0}, 10.0);
+  EXPECT_EQ(result.batches, 2u);
+  EXPECT_EQ(result.schedule.start[1], 10.0);
+  EXPECT_EQ(result.schedule.start[0], 20.0);
 }
 
 }  // namespace

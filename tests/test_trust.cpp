@@ -211,25 +211,8 @@ TEST(Decay, ExponentialHalfLife) {
   EXPECT_THROW(ExponentialDecay(0.0), PreconditionError);
 }
 
-TEST(Decay, LinearHitsZeroAtLifetime) {
-  LinearDecay d(50.0);
-  EXPECT_NEAR(d.value(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(d.value(25.0), 0.5, 1e-12);
-  EXPECT_EQ(d.value(50.0), 0.0);
-  EXPECT_EQ(d.value(500.0), 0.0);
-}
-
-TEST(Decay, StepKeepsResidualWeight) {
-  StepDecay d(10.0, 0.3);
-  EXPECT_EQ(d.value(0.0), 1.0);
-  EXPECT_EQ(d.value(10.0), 1.0);
-  EXPECT_EQ(d.value(10.1), 0.3);
-  EXPECT_THROW(StepDecay(1.0, 1.5), PreconditionError);
-}
-
 TEST(Decay, AllAreMonotoneNonIncreasing) {
-  const auto decays = {make_no_decay(), make_exponential_decay(10.0),
-                       make_linear_decay(10.0), make_step_decay(5.0, 0.2)};
+  const auto decays = {make_no_decay(), make_exponential_decay(10.0)};
   for (const auto& d : decays) {
     double prev = d->value(0.0);
     EXPECT_NEAR(prev, 1.0, 1e-12);
@@ -246,9 +229,9 @@ TEST(Decay, AllAreMonotoneNonIncreasing) {
 
 TEST(Alliance, SingletonsInitially) {
   AllianceGraph g(4);
-  EXPECT_EQ(g.group_count(), 4u);
-  EXPECT_TRUE(g.allied(2, 2));
-  EXPECT_FALSE(g.allied(0, 1));
+  for (EntityId a = 0; a < 4; ++a) {
+    for (EntityId b = 0; b < 4; ++b) EXPECT_EQ(g.allied(a, b), a == b);
+  }
 }
 
 TEST(Alliance, AllyMergesTransitively) {
@@ -256,10 +239,9 @@ TEST(Alliance, AllyMergesTransitively) {
   g.ally(0, 1);
   g.ally(1, 2);
   EXPECT_TRUE(g.allied(0, 2));
+  EXPECT_TRUE(g.allied(2, 1));
   EXPECT_FALSE(g.allied(0, 3));
-  EXPECT_EQ(g.group_count(), 3u);
-  EXPECT_EQ(g.group_size(0), 3u);
-  EXPECT_EQ(g.group_size(3), 1u);
+  EXPECT_FALSE(g.allied(3, 4));
 }
 
 TEST(Alliance, AllyIsIdempotent) {
@@ -267,7 +249,9 @@ TEST(Alliance, AllyIsIdempotent) {
   g.ally(0, 1);
   g.ally(0, 1);
   g.ally(1, 0);
-  EXPECT_EQ(g.group_count(), 2u);
+  EXPECT_TRUE(g.allied(0, 1));
+  EXPECT_FALSE(g.allied(0, 2));
+  EXPECT_FALSE(g.allied(1, 2));
 }
 
 TEST(Alliance, BoundsChecked) {
@@ -304,7 +288,8 @@ TEST(TrustEngine, ValidatesConfig) {
 TEST(TrustEngine, StrangerGetsDefaultScore) {
   TrustEngine engine(engine_config(), 3, 1);
   EXPECT_EQ(engine.eventual_trust(0, 1, 0, 0.0), 1.0);
-  EXPECT_EQ(engine.eventual_offered_level(0, 1, 0, 0.0), TrustLevel::kA);
+  EXPECT_EQ(quantize_offered_level(engine.eventual_trust(0, 1, 0, 0.0)),
+            TrustLevel::kA);
 }
 
 TEST(TrustEngine, FirstTransactionSetsDirectTrust) {
@@ -400,7 +385,8 @@ TEST(TrustEngine, MissingComponentTakesFullWeight) {
 TEST(TrustEngine, OfferedLevelIsCappedAtE) {
   TrustEngine engine(engine_config(), 2, 1);
   engine.record_transaction({0, 1, 0, 0.0, 6.0});
-  EXPECT_EQ(engine.eventual_offered_level(0, 1, 0, 0.0), TrustLevel::kE);
+  EXPECT_EQ(quantize_offered_level(engine.eventual_trust(0, 1, 0, 0.0)),
+            TrustLevel::kE);
 }
 
 TEST(TrustEngine, AlliedRecommenderIsDiscounted) {
@@ -477,21 +463,6 @@ TEST(TrustEngine, TransactionCountAccumulates) {
   engine.record_transaction({0, 1, 0, 0.0, 3.0});
   engine.record_transaction({1, 2, 0, 0.0, 3.0});
   EXPECT_EQ(engine.transaction_count(), 2u);
-}
-
-TEST(TrustEngine, PruneDropsStaleRecordsOnly) {
-  TrustEngine engine(engine_config(), 4, 1);
-  engine.record_transaction({0, 1, 0, 10.0, 4.0});
-  engine.record_transaction({0, 2, 0, 100.0, 4.0});
-  engine.record_transaction({1, 2, 0, 200.0, 4.0});
-  EXPECT_EQ(engine.prune(50.0), 1u);  // only the t=10 record
-  EXPECT_FALSE(engine.direct_record(0, 1, 0).has_value());
-  EXPECT_TRUE(engine.direct_record(0, 2, 0).has_value());
-  EXPECT_EQ(engine.prune(50.0), 0u);  // idempotent
-  EXPECT_EQ(engine.prune(1000.0), 2u);
-  EXPECT_EQ(engine.export_records().size(), 0u);
-  // History counter is preserved.
-  EXPECT_EQ(engine.transaction_count(), 3u);
 }
 
 // ---------------------------------------------------------------- agents

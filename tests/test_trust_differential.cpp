@@ -1,12 +1,12 @@
 // Seeded randomized differential test for trust::TrustEngine.
 //
 // The engine stores direct trust in (trustee, context) columns sorted by
-// truster.  This test replays random operation streams — transactions,
-// forget, prune and import — against both the engine and a small
-// std::map-keyed reference that scans recommenders in ascending id order,
-// and requires every observable to agree exactly (==, not a tolerance):
-// direct_record, reputation, eventual_trust, export_records, and the
-// trust.* counter deltas.  A divergence reports the failing seed.
+// truster.  This test replays random operation streams — transactions and
+// forget — against both the engine and a small std::map-keyed reference
+// that scans recommenders in ascending id order, and requires every
+// observable to agree exactly (==, not a tolerance): direct_record over
+// every (truster, trustee, context) triple, reputation, eventual_trust, and
+// the trust.* counter deltas.  A divergence reports the failing seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,12 +21,15 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
+#include "random_decay.hpp"
 #include "trust/alliance.hpp"
 #include "trust/decay.hpp"
 #include "trust/trust_engine.hpp"
 
 namespace gridtrust::trust {
 namespace {
+
+using testing_support::random_decay;
 
 constexpr std::uint64_t kFirstSeed = 1;
 constexpr std::uint64_t kSeeds = 1000;
@@ -117,29 +120,6 @@ class ReferenceEngine {
     return config_.default_score;
   }
 
-  std::vector<TrustEngine::Entry> export_records() const {
-    std::vector<TrustEngine::Entry> out;
-    for (const auto& [key, record] : direct_) {
-      const auto& [truster, trustee, context] = key;
-      out.push_back({truster, trustee, context, record});
-    }
-    return out;
-  }
-
-  /// False when the triple already holds data (the engine must refuse).
-  bool import_record(const TrustEngine::Entry& entry) {
-    return direct_
-        .emplace(Key{entry.truster, entry.trustee, entry.context},
-                 entry.record)
-        .second;
-  }
-
-  std::size_t prune(double before) {
-    return std::erase_if(direct_, [before](const auto& kv) {
-      return kv.second.last_time < before;
-    });
-  }
-
   std::size_t forget(EntityId entity) {
     const std::size_t removed =
         std::erase_if(direct_, [entity](const auto& kv) {
@@ -209,19 +189,6 @@ void assert_same_record(const std::optional<DirectTrustRecord>& got,
   ASSERT_EQ(got->count, want->count);
 }
 
-std::shared_ptr<const DecayFunction> random_decay(Rng& rng) {
-  switch (rng.index(4)) {
-    case 0:
-      return make_no_decay();
-    case 1:
-      return make_exponential_decay(rng.uniform(5.0, 50.0));
-    case 2:
-      return make_linear_decay(rng.uniform(20.0, 200.0));
-    default:
-      return make_step_decay(rng.uniform(5.0, 30.0), rng.uniform(0.1, 0.9));
-  }
-}
-
 /// Counter totals since `base`, in counter_names() order.
 std::vector<double> counter_deltas(const obs::MetricsRegistry& registry,
                                    const std::vector<double>& base) {
@@ -275,36 +242,13 @@ void replay_seed(std::uint64_t seed, const obs::MetricsRegistry& registry) {
   double now = 0.0;
   for (int op = 0; op < kOpsPerSeed; ++op) {
     SCOPED_TRACE("operation " + std::to_string(op));
-    const double roll = rng.uniform();
-    if (roll < 0.75) {
+    if (rng.uniform() < 0.93) {
       if (rng.bernoulli(0.7)) now += rng.uniform(0.0, 3.0);
       const auto [x, y] = pick_pair();
       const Transaction tx{x, y, static_cast<ContextId>(rng.index(contexts)),
                            now, rng.uniform(1.0, 6.0)};
       engine.record_transaction(tx);
       ref.record_transaction(tx);
-    } else if (roll < 0.85) {
-      const auto [x, y] = pick_pair();
-      TrustEngine::Entry entry;
-      entry.truster = x;
-      entry.trustee = y;
-      entry.context = static_cast<ContextId>(rng.index(contexts));
-      entry.record.level = rng.uniform(1.0, 6.0);
-      entry.record.last_time = rng.uniform(0.0, now);
-      entry.record.count = 1 + rng.index(5);
-      if (ref.import_record(entry)) {
-        engine.import_record(entry);
-      } else {
-        EXPECT_THROW(engine.import_record(entry), PreconditionError);
-      }
-    } else if (roll < 0.93) {
-      // Half the cutoffs sit exactly on a stored time, to pin the strict <.
-      const auto records = ref.export_records();
-      const double before =
-          !records.empty() && rng.bernoulli(0.5)
-              ? records[rng.index(records.size())].record.last_time
-              : now - rng.uniform(0.0, 15.0);
-      ASSERT_EQ(engine.prune(before), ref.prune(before));
     } else {
       const auto entity = static_cast<EntityId>(rng.index(entities));
       ASSERT_EQ(engine.forget(entity), ref.forget(entity));
@@ -327,15 +271,15 @@ void replay_seed(std::uint64_t seed, const obs::MetricsRegistry& registry) {
                 ref.eventual_trust(x, y, c, now));
     }
 
-    const auto exported = engine.export_records();
-    const auto expected = ref.export_records();
-    ASSERT_EQ(exported.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      const TrustEngine::Entry& a = exported[i];
-      const TrustEngine::Entry& b = expected[i];
-      ASSERT_EQ(std::tie(a.truster, a.trustee, a.context),
-                std::tie(b.truster, b.trustee, b.context));
-      ASSERT_NO_FATAL_FAILURE(assert_same_record(a.record, b.record));
+    // The whole store: every triple holds the same record, or none.
+    for (EntityId x = 0; x < entities; ++x) {
+      for (EntityId y = 0; y < entities; ++y) {
+        for (ContextId c = 0; c < contexts; ++c) {
+          ASSERT_NO_FATAL_FAILURE(
+              assert_same_record(engine.direct_record(x, y, c),
+                                 ref.direct_record(x, y, c)));
+        }
+      }
     }
     ASSERT_EQ(counter_deltas(registry, base), ref.counters());
   }
