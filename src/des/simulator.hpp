@@ -2,9 +2,11 @@
 //
 // A minimal, deterministic event-driven simulator: events are (time, action)
 // pairs executed in non-decreasing time order with FIFO tie-breaking, so two
-// runs with the same seed replay identically.  All gridtrust simulations
-// (the TRMS scheduling study and the network-transfer study) run on this
-// kernel.
+// runs with the same seed replay identically.  The campaign round loop, the
+// fault injector, the distributed RMS and the grid-scale workload tiers run
+// on this kernel.  A single TRMS run (sim::run_trms) does not: its arrivals
+// and batch ticks form two sequences known up front, so it walks them in a
+// next-event loop in this kernel's (time, seq) order.
 //
 // Internals (docs/performance.md has the full story): events live in a slab
 // pool (common/arena.hpp) and are ordered by a calendar queue

@@ -43,7 +43,10 @@ Best best_machine(const SchedulingProblem& p, std::size_t r, double ready,
   return out;
 }
 
-/// best_machine that also tracks the second-best completion (Sufferage).
+/// best_machine that also tracks the second-best completion (Sufferage),
+/// by selects: a new best pushes the old one into second place, an equal
+/// later completion becomes the second best, and the lowest machine index
+/// wins ties for the best.
 BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double ready,
                        const Schedule& schedule) {
   const double floor = std::max(ready, p.arrival_time(r));
@@ -52,13 +55,10 @@ BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double ready,
   BestChoice out;
   for (std::size_t m = 0; m < p.num_machines(); ++m) {
     const double ct = std::max(available[m], floor) + cost[m];
-    if (ct < out.completion) {
-      out.second_completion = out.completion;
-      out.completion = ct;
-      out.machine = m;
-    } else if (ct < out.second_completion) {
-      out.second_completion = ct;
-    }
+    out.second_completion =
+        std::min(out.second_completion, std::max(out.completion, ct));
+    out.machine = ct < out.completion ? m : out.machine;
+    out.completion = std::min(out.completion, ct);
   }
   return out;
 }
@@ -144,24 +144,28 @@ class Sufferage final : public BatchHeuristic {
     while (!pending.empty()) {
       holder.assign(p.num_machines(), kUnassigned);
       holder_sufferage.assign(p.num_machines(), -kInf);
-      deferred.clear();
+      // Each request defers at most one (the first defers none), so the
+      // i-th request's loser lands at an index <= i.
+      deferred.resize(pending.size());
+      std::size_t num_deferred = 0;
       for (const std::size_t r : pending) {
         const BestChoice c = best_choice(p, r, ready, schedule);
         const double sufferage =
             (c.second_completion == kInf) ? 0.0
                                           : c.second_completion - c.completion;
+        // By selects: r takes machine m if it is free or r suffers more
+        // than its holder; the loser (none, the old holder or r) defers.
         const std::size_t m = c.machine;
-        if (holder[m] == kUnassigned) {
-          holder[m] = r;
-          holder_sufferage[m] = sufferage;
-        } else if (sufferage > holder_sufferage[m]) {
-          deferred.push_back(holder[m]);
-          holder[m] = r;
-          holder_sufferage[m] = sufferage;
-        } else {
-          deferred.push_back(r);
-        }
+        const std::size_t held = holder[m];
+        const bool wins =
+            held == kUnassigned || sufferage > holder_sufferage[m];
+        const std::size_t loser = wins ? held : r;
+        deferred[num_deferred] = loser;
+        num_deferred += loser != kUnassigned ? 1 : 0;
+        holder[m] = wins ? r : held;
+        holder_sufferage[m] = wins ? sufferage : holder_sufferage[m];
       }
+      deferred.resize(num_deferred);
       for (std::size_t m = 0; m < p.num_machines(); ++m) {
         if (holder[m] != kUnassigned) {
           commit_assignment(p, holder[m], m, ready, schedule);

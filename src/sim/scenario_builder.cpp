@@ -146,8 +146,9 @@ Scenario ScenarioBuilder::build() const {
                  s.security.blanket_pct >= 0.0,
              "blanket_pct: must be finite and non-negative");
   if (s.rms.mode == SchedulingMode::kBatch) {
-    GT_REQUIRE(s.rms.batch_interval > 0.0,
-               "batch: formation interval must be positive");
+    GT_REQUIRE(std::isfinite(s.rms.batch_interval) &&
+                   s.rms.batch_interval > 0.0,
+               "batch: formation interval must be finite and positive");
     GT_REQUIRE(known_name(sched::batch_heuristic_names(), s.rms.heuristic),
                "heuristic: '" + s.rms.heuristic +
                    "' is not a batch heuristic (expected " +

@@ -1,13 +1,12 @@
 #include "sim/trm_simulation.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "des/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "sched/executor.hpp"
 
@@ -16,6 +15,7 @@ namespace gridtrust::sim {
 namespace {
 
 const obs::Counter kTrmsRuns("sim.trms_runs");
+const obs::Counter kTrmsEvents("sim.trms_events");
 const obs::Histogram kTrmsNs("sim.trms_run_ns", obs::duration_bounds_ns());
 
 SimulationResult finish(const sched::SchedulingProblem& problem,
@@ -35,13 +35,14 @@ SimulationResult finish(const sched::SchedulingProblem& problem,
   out.flow_time_p95 = percentile(std::move(flows), 95.0);
   out.batches = batches;
   out.events = events;
+  kTrmsEvents.add(static_cast<double>(events));
   out.schedule = std::move(schedule);
   return out;
 }
 
-/// Request indices in the order the kernel runs their arrivals: by
-/// (arrival time, index).  SchedulingProblem does not require sorted
-/// arrivals, so the stable sort runs only when they are out of order.
+/// Request indices in the order their arrivals run: by (arrival time,
+/// index).  SchedulingProblem does not require sorted arrivals, so the
+/// stable sort runs only when they are out of order.
 std::vector<std::size_t> arrival_order(
     const sched::SchedulingProblem& problem) {
   std::vector<std::size_t> order(problem.num_requests());
@@ -59,79 +60,51 @@ SimulationResult run_immediate_mode(const sched::SchedulingProblem& problem,
                                     const TrmsConfig& config) {
   auto heuristic = sched::make_immediate(config.heuristic);
   heuristic->reset();
-  des::Simulator sim;
   sched::Schedule schedule = sched::Schedule::for_problem(problem);
   const std::vector<std::size_t> order = arrival_order(problem);
-  std::size_t next = 0;  // position in `order` of the pending arrival
-
-  // Each arrival maps its request and then schedules the next one, so the
-  // queue never holds more than one event.  Each event holds only a pointer
-  // to the handler, so scheduling never copies its closure onto the heap.
-  std::function<void()> arrive = [&] {
-    const std::size_t r = order[next++];
+  // Each arrival is an event: its request is mapped at its own time.
+  for (const std::size_t r : order) {
+    const double now = problem.arrival_time(r);
     const std::size_t m = sched::select_machine_instrumented(
-        *heuristic, problem, r, sim.now(), schedule);
-    sched::commit_assignment(problem, r, m, sim.now(), schedule);
-    if (next < order.size()) {
-      sim.schedule_at(problem.arrival_time(order[next]),
-                      [&arrive] { arrive(); });
-    }
-  };
-  sim.schedule_at(problem.arrival_time(order.front()), [&arrive] { arrive(); });
-  sim.run();
-  return finish(problem, std::move(schedule), 0, sim.executed_events());
+        *heuristic, problem, r, now, schedule);
+    sched::commit_assignment(problem, r, m, now, schedule);
+  }
+  return finish(problem, std::move(schedule), 0, order.size());
 }
 
 SimulationResult run_batch_mode(const sched::SchedulingProblem& problem,
                                 const TrmsConfig& config) {
-  GT_REQUIRE(config.batch_interval > 0.0,
-             "batch interval must be positive");
+  GT_REQUIRE(std::isfinite(config.batch_interval) &&
+                 config.batch_interval > 0.0,
+             "batch interval must be finite and positive");
   auto heuristic = sched::make_batch(config.heuristic);
-  des::Simulator sim;
   sched::Schedule schedule = sched::Schedule::for_problem(problem);
   const std::vector<std::size_t> order = arrival_order(problem);
 
   std::vector<std::size_t> queue;  // arrived, not yet dispatched
   std::size_t next = 0;            // position in `order` of the next arrival
   std::size_t batches = 0;
-  // The next meta-request formation tick: one interval after time 0, then
-  // one interval after each tick, until every request has been dispatched.
-  des::SimTime tick_at = sim.now() + config.batch_interval;
-
-  // Every event schedules the one that follows it in the kernel's
-  // (time, seq) order: the next arrival while it is due by the pending
-  // tick, otherwise the tick.  An arrival exactly on a tick therefore still
-  // joins that tick's batch, and the queue never holds more than one event.
-  std::function<void()> arrive;
-  std::function<void()> tick;
-  const auto schedule_next = [&] {
-    if (next < order.size() && problem.arrival_time(order[next]) <= tick_at) {
-      sim.schedule_at(problem.arrival_time(order[next]),
-                      [&arrive] { arrive(); });
-    } else {
-      sim.schedule_at(tick_at, [&tick] { tick(); });
+  std::uint64_t ticks = 0;
+  double tick_at = 0.0;
+  // Each tick falls one interval after the last (the first one after time
+  // 0).  The arrivals due by it, an arrival exactly on it included, join its
+  // meta-request; an empty tick maps nothing but is still an event.  The
+  // run ends at the first tick after which no request is left to arrive.
+  do {
+    tick_at = tick_at + config.batch_interval;
+    ++ticks;
+    while (next < order.size() &&
+           problem.arrival_time(order[next]) <= tick_at) {
+      queue.push_back(order[next++]);
     }
-  };
-  arrive = [&] {
-    queue.push_back(order[next++]);
-    schedule_next();
-  };
-  tick = [&] {
     if (!queue.empty()) {
       ++batches;
-      sched::map_batch_instrumented(*heuristic, problem, queue, sim.now(),
+      sched::map_batch_instrumented(*heuristic, problem, queue, tick_at,
                                     schedule);
       queue.clear();
     }
-    if (next < order.size()) {  // requests still to arrive and dispatch
-      tick_at = sim.now() + config.batch_interval;
-      schedule_next();
-    }
-  };
-  schedule_next();
-
-  sim.run();
-  return finish(problem, std::move(schedule), batches, sim.executed_events());
+  } while (next < order.size());
+  return finish(problem, std::move(schedule), batches, order.size() + ticks);
 }
 
 }  // namespace

@@ -6,13 +6,18 @@
 // meta-requests and maps one meta-request per batch interval (Min-min /
 // Sufferage-style heuristics).
 //
-// Ordering contract.  Arrivals run in (arrival time, request index) order;
-// the problem's arrival times need not be sorted.  Batch ticks fire at
-// interval, interval + interval, ... (each one interval after the last, as
-// doubles) until every request has been dispatched, and an arrival at
-// exactly a tick's time joins that tick's batch.  The kernel holds one
-// pending event at a time: each arrival or tick schedules the event that
-// follows it in this order, so a run never grows the event queue.
+// Ordering contract.  A run is a next-event loop over two sequences known
+// up front, the arrivals and the batch ticks, walked in the DES kernel's
+// (time, seq) order without building a kernel:
+//   - arrivals run in (arrival time, request index) order; the problem's
+//     arrival times need not be sorted;
+//   - immediate mode maps each request at its own arrival time;
+//   - batch ticks fall at 0 + interval, then at previous tick + interval,
+//     summed as doubles;
+//   - an arrival at exactly a tick's time joins that tick's batch;
+//   - an empty tick maps nothing but is still an event; after a tick, the
+//     run ends once no request is left to arrive.
+// SimulationResult::events counts arrivals plus ticks, as the kernel did.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +54,7 @@ struct SimulationResult {
   double flow_time_p95 = 0.0;
   /// Meta-requests formed (batch mode; 0 in immediate mode).
   std::size_t batches = 0;
-  /// DES events executed.
+  /// Events walked: arrivals plus batch ticks.
   std::uint64_t events = 0;
 
   /// The scalar outcome metrics as a uniform obs::RunReport (names:
@@ -58,8 +63,9 @@ struct SimulationResult {
   obs::RunReport report() const;
 };
 
-/// Runs the RMS over `problem` (whose arrival times drive the event queue)
-/// under `config`.  The problem's policy decides trust awareness.
+/// Runs the RMS over `problem` (whose arrival times drive the run) under
+/// `config`.  The problem's policy decides trust awareness.  Batch mode
+/// needs a finite, positive `batch_interval`.
 SimulationResult run_trms(const sched::SchedulingProblem& problem,
                           const TrmsConfig& config);
 

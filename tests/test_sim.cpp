@@ -150,6 +150,17 @@ TEST(TrmsBatch, RejectsNonPositiveInterval) {
   EXPECT_THROW(run_trms(p, cfg), PreconditionError);
 }
 
+TEST(TrmsBatch, RejectsNonFiniteInterval) {
+  // An infinite interval would pass a positivity check and map every
+  // request at t = +inf (makespan inf, utilization 0).
+  const auto p = make_problem(7, 5, 2, 0.0, sched::trust_aware_policy());
+  TrmsConfig cfg;
+  cfg.mode = SchedulingMode::kBatch;
+  cfg.heuristic = "min-min";
+  cfg.batch_interval = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(run_trms(p, cfg), PreconditionError);
+}
+
 TEST(Trms, UnknownHeuristicRejected) {
   const auto p = make_problem(8, 5, 2, 0.0, sched::trust_aware_policy());
   TrmsConfig cfg;
@@ -348,6 +359,13 @@ TEST(ScenarioBuilder, RejectsInvalidCombinations) {
   EXPECT_THROW(ScenarioBuilder().heuristic("no-such").build(),
                PreconditionError);
   EXPECT_NO_THROW(ScenarioBuilder().heuristic("min-min").batch().build());
+}
+
+TEST(ScenarioBuilder, RejectsNonFiniteBatchInterval) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(
+      ScenarioBuilder().tasks(20).heuristic("min-min").batch(inf).build(),
+      PreconditionError);
 }
 
 TEST(ScenarioBuilder, BuiltScenarioRunsEndToEnd) {
