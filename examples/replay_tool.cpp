@@ -6,8 +6,10 @@
 // both, schedules with a chosen heuristic/policy, and reports metrics, a
 // Gantt chart, and optionally CSV.
 //
-// With no input files it generates a demo instance, saves it next to the
-// binary, and replays it — demonstrating the full round trip.
+// With no input files it generates a demo instance, saves it as
+// replay_demo.trace and replay_demo.table in the working directory, and
+// replays it — demonstrating the full round trip.  Bad input ends the tool
+// with "replay_tool: <reason>" on stderr and exit status 2.
 //
 //   ./replay_tool --trace my.trace --table my.table --heuristic sufferage
 //                 --mode batch --policy aware --gantt
@@ -60,9 +62,7 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int replay(int argc, char** argv) {
   CliParser cli("replay_tool",
                 "Replay a saved workload trace against a saved trust table");
   cli.add_string("trace", "", "trace file (empty: generate a demo)");
@@ -162,4 +162,15 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return replay(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "replay_tool: " << e.what() << "\n";
+    return 2;
+  }
 }

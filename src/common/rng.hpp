@@ -16,7 +16,8 @@ namespace gridtrust {
 std::uint64_t splitmix64(std::uint64_t& state);
 
 /// Derives a deterministic seed from an identity tag plus a sequence of ids
-/// (e.g. a scheduler batch): golden-ratio offset, then FNV-prime chaining.
+/// (e.g. the per-domain, arrival and outcome streams of des/scale.cpp):
+/// golden-ratio offset, then FNV-prime chaining.
 /// Centralized here so call sites never hold raw seed constants (gt-lint
 /// GT003); the derivation is stable — recorded baselines depend on it.
 std::uint64_t derive_seed(std::uint64_t tag, const std::vector<std::size_t>& ids);

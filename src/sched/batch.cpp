@@ -241,9 +241,6 @@ std::unique_ptr<BatchHeuristic> make_batch(const std::string& name) {
   if (name == "max-min") return make_max_min();
   if (name == "sufferage") return make_sufferage();
   if (name == "duplex") return make_duplex();
-  if (name == "genetic") return make_genetic();
-  if (name == "annealing") return make_annealing();
-  if (name == "tabu") return make_tabu();
   GT_REQUIRE(false, "unknown batch heuristic: " + name);
   return nullptr;
 }
@@ -253,8 +250,7 @@ std::vector<std::string> immediate_heuristic_names() {
 }
 
 std::vector<std::string> batch_heuristic_names() {
-  return {"min-min", "max-min", "sufferage", "duplex", "genetic",
-          "annealing", "tabu"};
+  return {"min-min", "max-min", "sufferage", "duplex"};
 }
 
 }  // namespace gridtrust::sched

@@ -91,16 +91,6 @@ std::unique_ptr<BatchHeuristic> make_max_min();
 std::unique_ptr<BatchHeuristic> make_sufferage();
 /// Duplex: runs Min-min and Max-min, keeps the schedule with lower makespan.
 std::unique_ptr<BatchHeuristic> make_duplex();
-/// Genetic algorithm: elitist GA over whole-batch assignments, seeded with
-/// the Min-min solution (the classic static-mapping comparator).
-/// Deterministic for a given batch.
-std::unique_ptr<BatchHeuristic> make_genetic();
-/// Simulated annealing over single-reassignment moves (geometric cooling,
-/// Min-min seed, best-so-far kept).  Deterministic for a given batch.
-std::unique_ptr<BatchHeuristic> make_annealing();
-/// Tabu search with a recency tabu list and best-solution aspiration
-/// (Min-min seed).  Deterministic for a given batch.
-std::unique_ptr<BatchHeuristic> make_tabu();
 
 /// Factory by name; throws PreconditionError for unknown names.
 std::unique_ptr<ImmediateHeuristic> make_immediate(const std::string& name);

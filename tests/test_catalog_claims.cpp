@@ -1,6 +1,7 @@
-// The acceptance claims of the catalog's adversarial and economic studies,
-// checked on the manifests `gridtrust_lab run <spec>` records at the
-// spec's defaults.  Each assertion names the cell it failed in.
+// The acceptance claims of the catalog's heuristic-suite, adversarial and
+// economic studies, checked on the manifests `gridtrust_lab run <spec>`
+// records at the spec's defaults.  Each assertion names the cell it failed
+// in.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -57,6 +58,19 @@ std::string label(const std::vector<std::pair<std::string, ParamValue>>& p) {
     out += key + "=" + value.canonical();
   }
   return out;
+}
+
+TEST(CatalogClaims, AllHeuristicsAwareWinsSignificantlyInEveryCell) {
+  const Manifest manifest = run_default("all_heuristics");
+  // 4 heterogeneity classes x the 9 heuristics of [10].
+  ASSERT_EQ(manifest.cells.size(), 36u);
+  for (const ManifestCell& cell : manifest.cells) {
+    EXPECT_EQ(mean_at(manifest, cell.params, "significant"), 1.0)
+        << label(cell.params) << ": the aware win must be significant";
+    EXPECT_GT(mean_at(manifest, cell.params, "improvement_pct"), 0.0)
+        << label(cell.params)
+        << ": the aware arm must improve on the unaware one";
+  }
 }
 
 TEST(CatalogClaims, ChaosRobustnessAwareDegradesStrictlyLess) {

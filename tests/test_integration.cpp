@@ -137,8 +137,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Integration, TrustAwareWinsUnderEveryBatchMapper) {
-  // Beyond the paper's three heuristics: the whole batch family, including
-  // the search-based mappers, must show a significant trust-aware win.
+  // Beyond the paper's Min-min and Sufferage: every batch mapper of [10],
+  // Max-min and Duplex included, must show a significant trust-aware win.
   for (const std::string& name : sched::batch_heuristic_names()) {
     sim::Scenario scenario;
     scenario.tasks = 40;

@@ -1,6 +1,8 @@
 // Tests for the secure-vs-regular transfer simulator (Tables 2-3).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "net/report.hpp"
 #include "net/transfer_model.hpp"
@@ -70,6 +72,53 @@ TEST(TransferModel, GigabitBulkMatchesPaperShape) {
   EXPECT_NEAR(rcp, 46.0, 8.0);
   EXPECT_NEAR(scp, 138.0, 15.0);
   EXPECT_NEAR(model.security_overhead_pct(Megabytes(1000)), 67.0, 6.0);
+}
+
+TEST(TransferModel, EveryRowOfTablesTwoAndThree) {
+  // Per size: rcp s, scp s and overhead % as bench_table2_net100 and
+  // bench_table3_net1000 print them, to their two decimals.
+  struct Row {
+    double size_mb, rcp_s, scp_s, overhead_pct;
+  };
+  const std::vector<double> sizes = paper_file_sizes_mb();
+  const auto check_table = [&](const char* table, const TransferModel& model,
+                               const std::vector<Row>& rows) {
+    ASSERT_EQ(rows.size(), sizes.size()) << table;
+    double previous_overhead = 100.0;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << table << ", " << sizes[i] << " MB");
+      const Megabytes size(sizes[i]);
+      EXPECT_EQ(sizes[i], rows[i].size_mb);
+      EXPECT_NEAR(model.transfer_time_s(size, Protocol::kRcp), rows[i].rcp_s,
+                  0.005);
+      EXPECT_NEAR(model.transfer_time_s(size, Protocol::kScp), rows[i].scp_s,
+                  0.005);
+      const double overhead = model.security_overhead_pct(size);
+      EXPECT_NEAR(overhead, rows[i].overhead_pct, 0.005);
+      // The fixed handshake's share shrinks as the file grows.
+      EXPECT_LT(overhead, previous_overhead);
+      previous_overhead = overhead;
+    }
+  };
+  check_table("Table 2", fast_ethernet_model(),
+              {{1, 0.25, 0.74, 65.88},
+               {10, 1.12, 2.06, 45.70},
+               {100, 9.79, 15.29, 35.95},
+               {500, 48.35, 74.09, 34.74},
+               {1000, 96.54, 147.58, 34.58}});
+  check_table("Table 3", gigabit_model(),
+              {{1, 0.16, 0.64, 75.56},
+               {10, 0.57, 1.90, 70.11},
+               {100, 4.66, 14.40, 67.67},
+               {500, 22.84, 70.00, 67.37},
+               {1000, 45.57, 139.49, 67.33}});
+  // The cipher, not the wire, bounds scp: the faster link raises the
+  // overhead at every size.
+  for (const double size : sizes) {
+    EXPECT_GT(gigabit_model().security_overhead_pct(Megabytes(size)),
+              fast_ethernet_model().security_overhead_pct(Megabytes(size)))
+        << size << " MB";
+  }
 }
 
 TEST(TransferModel, SecurityNegatesTheFasterNetwork) {

@@ -8,7 +8,9 @@
 //     (as the clamped difference) off, and through compute_trust_costs;
 //   * ECC >= EEC under every cost model and scheduling policy;
 //   * offered-level quantization is monotone in Γ, and so the priced trust
-//     cost never rises as Γ rises.
+//     cost never rises as Γ rises;
+//   * the sealed-bid auction's clearing price is a contract: at most a
+//     budgeted buyer's reserve, and at least the winner's own ask.
 // Each seeded property runs 1000 seeds and reports the first failing one.
 #include <gtest/gtest.h>
 
@@ -18,6 +20,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "econ/config.hpp"
+#include "econ/market.hpp"
+#include "econ/price_model.hpp"
 #include "grid/grid_system.hpp"
 #include "sched/problem.hpp"
 #include "sched/security_model.hpp"
@@ -151,6 +156,57 @@ TEST(PricingProperties, OfferedLevelIsMonotoneInGamma) {
     ASSERT_GE(priced_trust_cost(rtl, q_lo, model),
               priced_trust_cost(rtl, q_hi, model));
   });
+}
+
+TEST(PricingProperties, AuctionPriceIsWithinTheBudgetAndAtLeastTheWinningAsk) {
+  const std::vector<SchedulingPolicy> policies = {trust_aware_policy(),
+                                                  trust_unaware_policy()};
+  const econ::EconomyConfig economy;
+  std::size_t served_with_budget = 0;
+  std::size_t served_without_budget = 0;
+  for_each_seed("auction price bounds", [&](std::uint64_t seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.index(30);
+    const std::size_t m = 1 + rng.index(8);
+    CostMatrix eec(n, m);
+    TrustCostMatrix tc(n, m);
+    std::vector<grid::Request> requests(n);
+    std::vector<double> arrivals(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      arrivals[r] = rng.uniform(0.0, 100.0);
+      requests[r].arrival_time = arrivals[r];
+      for (std::size_t j = 0; j < m; ++j) {
+        eec.at(r, j) = rng.uniform(1.0, 100.0);
+        tc.at(r, j) = static_cast<int>(rng.uniform_int(0, trust::kMaxTrustCost));
+      }
+    }
+    const std::vector<double> rates = econ::draw_base_rates(economy, m, rng);
+    econ::draw_qos_terms(requests, eec, rates, economy, rng);
+    for (grid::Request& request : requests) {
+      if (rng.bernoulli(0.3)) request.budget = 0.0;  // no reserve
+    }
+    const SchedulingProblem base(eec, tc, policies[rng.index(policies.size())],
+                                 SecurityCostModel{}, arrivals);
+    const econ::MarketProblem market(base, requests, rates);
+    const econ::MarketResult result =
+        econ::run_market(market, econ::MechanismKind::kAuction);
+    ASSERT_EQ(result.counters.budget_overruns, 0u);
+    for (std::size_t r = 0; r < n; ++r) {
+      const econ::AllocationOutcome& outcome = result.outcomes[r];
+      if (!outcome.served) continue;
+      if (requests[r].has_budget()) {
+        ASSERT_LE(outcome.spend, requests[r].budget) << "request " << r;
+        ++served_with_budget;
+      } else {
+        ++served_without_budget;
+      }
+      ASSERT_GE(outcome.spend, market.decision_price(r, outcome.machine))
+          << "request " << r;
+    }
+  });
+  // Both kinds of buyer were served, so neither bound held vacuously.
+  EXPECT_GT(served_with_budget, 0u);
+  EXPECT_GT(served_without_budget, 0u);
 }
 
 }  // namespace
